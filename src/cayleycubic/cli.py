@@ -342,20 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _notes(args)
+    # Numbers are read and printed in full decimal, however long: lift the
+    # int/str digit limit of Python >= 3.11 for this call, then restore it.
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except NotASolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CayleyError, ValueError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    return 0
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _notes(args)
+        try:
+            return args.func(args)
+        except (NotASolutionError, BudgetExceededError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (CayleyError, ValueError) as exc:
+            parser.exit(2, f"error: {exc}\n")
+        return 0
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 def main() -> None:

@@ -11,7 +11,6 @@ chains possible at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import NotASolutionError
@@ -149,11 +148,20 @@ def _drop_last_or_zero(word: tuple[int, ...]) -> int:
     return continuant_drop_last(word)
 
 
+def _cohn_trace(alpha: tuple[int, ...]) -> int:
+    # M_alpha = prod [[a, 1], [1, 0]] has K(alpha), K''(alpha) on its diagonal
+    # and K'(alpha) top right.  For even length det M_alpha = 1, so M^2 =
+    # tr*M - I: each entry of M^k M_beta, such as K'(alpha^k beta), obeys
+    # x[k+1] = tr*x[k] - x[k-1].
+    return continuant(alpha) + continuant_interior(alpha)
+
+
 def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
     """[K'(beta), K'(alpha beta), K'(alpha^2 beta), ...] for even-length alpha.
 
     K' drops the last entry.  Terms are produced by the two-term recurrence
-    with exact rational multiplier K'(alpha^2)/K'(alpha) and every term is
+    whose integer multiplier is the trace K(alpha) + K''(alpha) of alpha's
+    continuant matrix (equal to K'(alpha^2)/K'(alpha)), and every term is
     cross-checked against direct continuant evaluation.
     """
     a = _check_word(alpha)
@@ -162,16 +170,16 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
         raise ValueError(f"alpha must be a non-empty word of even length, got {a}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    mult = Fraction(continuant_drop_last(a + a), continuant_drop_last(a))
+    tr = _cohn_trace(a)
     direct = [_drop_last_or_zero(a * k + b) for k in range(count)]
     terms = direct[:2]
     for k in range(2, count):
-        nxt = mult * terms[k - 1] - terms[k - 2]
-        if nxt.denominator != 1 or int(nxt) != direct[k]:
+        nxt = tr * terms[k - 1] - terms[k - 2]
+        if nxt != direct[k]:
             raise ValueError(
                 f"recurrence term {nxt} disagrees with direct value {direct[k]} at k={k}"
             )
-        terms.append(int(nxt))
+        terms.append(nxt)
     return terms
 
 
@@ -212,11 +220,14 @@ def sequence_overlap_search(
 
     For every alpha (even length <= max_block_len) and non-empty beta (length
     <= max_block_len) with entries <= max_entry, the first two power-sequence
-    terms define s = K'(beta) and b = K'(alpha beta); the remaining terms are
-    compared exactly against the chain X0 = s, X1 = b, X[k+1] = (2b/s)X[k] -
-    X[k-1].  Full-prefix matches with s >= 2 land in matches_s_ge_2 (expected
-    empty); matches with s = 1 are recorded as coincidences.  The first two
-    terms agree by construction, so max_terms must be at least 3.
+    terms define s = K'(beta) and b = K'(alpha beta) of the chain X0 = s, X1 =
+    b, X[k+1] = (2b/s)X[k] - X[k-1].  The power sequence obeys the same
+    recurrence with the trace tr of alpha's continuant matrix as multiplier,
+    and b >= 1, so the two agree at the third term, and then at every term,
+    exactly when 2b = tr*s: that integer test decides each pair.  Matches
+    with s >= 2 land in matches_s_ge_2 (expected empty); matches with s = 1
+    are recorded as coincidences; each lists its first max_terms terms.
+    The first two terms agree by construction, so max_terms must be >= 3.
     """
     if max_terms < 3:
         raise ValueError(f"max_terms must be >= 3, got {max_terms}")
@@ -227,27 +238,18 @@ def sequence_overlap_search(
     entries = range(1, max_entry + 1)
     for alen in range(2, max_block_len + 1, 2):
         for alpha in product(entries, repeat=alen):
+            tr = _cohn_trace(alpha)
             for blen in range(1, max_block_len + 1):
                 for beta in product(entries, repeat=blen):
-                    seq = continuant_power_sequence(alpha, beta, max_terms)
-                    s0, b0 = seq[0], seq[1]
-                    assert s0 == continuant_drop_last(beta)
-                    x0, x1 = Fraction(s0), Fraction(b0)
-                    mult = Fraction(2 * b0, s0)
-                    ok = True
-                    for k in range(2, max_terms):
-                        x0, x1 = x1, mult * x1 - x0
-                        if x1 != seq[k]:
-                            ok = False
-                            break
-                    if not ok:
+                    s0, b0 = continuant_drop_last(beta), continuant_drop_last(alpha + beta)
+                    if 2 * b0 != tr * s0:
                         continue
                     finding = {
                         "alpha": list(alpha),
                         "beta": list(beta),
                         "s": s0,
                         "b": b0,
-                        "terms": seq,
+                        "terms": continuant_power_sequence(alpha, beta, max_terms),
                     }
                     (matches if s0 >= 2 else coincidences).append(finding)
     bounds = {

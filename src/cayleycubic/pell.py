@@ -8,11 +8,11 @@ verification; there is no fundamental-solution machinery here.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
+from ._spans import map_spans
 from .errors import DegeneratePellError
 from .sequences import scaled_cheb_t, scaled_cheb_u
 
@@ -120,7 +120,7 @@ def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
     return sol
 
 
-def _oracle_range(d: int, rhs: int, form: str, lo: int, hi: int, include_zero: bool):
+def _oracle_range(d: int, rhs: int, form: str, include_zero: bool, lo: int, hi: int):
     out = []
     for z in range(lo, hi + 1):
         if form == FORM_Z:
@@ -157,15 +157,5 @@ def pell_oracle(
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if workers <= 1:
-        rows = _oracle_range(inst.d, inst.rhs, inst.form, 1, bound, include_zero)
-    else:
-        step = max(1, -(-bound // workers))
-        spans = [(lo, min(lo + step - 1, bound)) for lo in range(1, bound + 1, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _oracle_range,
-                *zip(*((inst.d, inst.rhs, inst.form, lo, hi, include_zero) for lo, hi in spans)),
-            )
-        rows = [r for part in parts for r in part]
+    rows = map_spans(_oracle_range, (inst.d, inst.rhs, inst.form, include_zero), bound, workers)
     return [PellSolution(*r) for r in sorted(rows)]

@@ -12,14 +12,14 @@ import csv
 import io
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._spans import map_spans
 from .errors import BudgetExceededError
 from .sequences import scaled_cheb_t
-from .triples import Triple, _conjugate_raw, base_value, reduction_trace
+from .triples import Triple, _conjugate, _conjugate_fraction, base_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -77,17 +77,7 @@ def enumerate_solutions(
         raise BudgetExceededError(
             f"enumeration at bound {bound} needs {planned} quadratic solves, budget is {budget}"
         )
-    if workers <= 1:
-        rows = _enumerate_range(s, bound, 1, bound)
-    else:
-        step = max(1, -(-bound // workers))
-        spans = [(lo, min(lo + step - 1, bound)) for lo in range(1, bound + 1, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _enumerate_range,
-                *zip(*((s, bound, lo, hi) for lo, hi in spans)),
-            )
-        rows = [r for part in parts for r in part]
+    rows = map_spans(_enumerate_range, (s, bound), bound, workers)
     rows.sort()
     return [Triple(s, *r) for r in rows]
 
@@ -177,17 +167,15 @@ def classify(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    all_conjugates = []
     frontier = [False] * len(verts)
     isolated = [True] * len(verts)
     for i, v in enumerate(verts):
-        conjs = tuple(_conjugate_raw(s, v, k) for k in range(3))
-        all_conjugates.append(conjs)
-        for k, conj in enumerate(conjs):
-            if conj.denominator != 1 or conj < 1:
+        for k in range(3):
+            cv = _conjugate(s, v, k)
+            if cv is None or cv < 1:
                 continue
+            # a fixed point (cv == v[k]) is no move, but still not isolated
             isolated[i] = False
-            cv = int(conj)
             if cv == v[k]:
                 continue
             w = tuple(sorted(v[:k] + (cv,) + v[k + 1 :]))
@@ -219,7 +207,7 @@ def classify(
                 tags=tuple(tags),
                 family=fam,
                 component=component_of[roots[i]],
-                conjugates=all_conjugates[i],
+                conjugates=tuple(_conjugate_fraction(s, verts[i], k) for k in range(3)),
             )
         )
     return out

@@ -4,7 +4,9 @@ The surface is s*(x^2 + y^2 + z^2) - s^3 - 2xyz = 0 over positive integers.
 Fixing two components turns it into a quadratic in the third, so every
 component x of a solution has a conjugate 2yz/s - x.  Swapping a component
 for its conjugate is the move that grows and shrinks solutions; everything
-in this module is built out of that move.
+in this module is built out of that move.  The move is one integer kernel
+(2yz divided by s with remainder); a conjugate becomes a `Fraction` only
+where one is returned.
 """
 
 from __future__ import annotations
@@ -88,10 +90,17 @@ def _require_solution(t: Triple) -> None:
         )
 
 
-def _conjugate_raw(s: int, comps: tuple[int, int, int], index: int) -> Fraction:
-    x = comps[index]
+def _conjugate(s: int, comps: tuple[int, int, int], index: int) -> int | None:
+    """The conjugate 2yz/s - x of component `index`, or None when it is not an integer."""
     y, z = (comps[j] for j in range(3) if j != index)
-    return Fraction(2 * y * z, s) - x
+    q, r = divmod(2 * y * z, s)
+    return None if r else q - comps[index]
+
+
+def _conjugate_fraction(s: int, comps: tuple[int, int, int], index: int) -> Fraction:
+    """The same conjugate as an exact rational, for output."""
+    y, z = (comps[j] for j in range(3) if j != index)
+    return Fraction(2 * y * z, s) - comps[index]
 
 
 def conjugate_component(t: Triple, index: int) -> Fraction:
@@ -99,7 +108,17 @@ def conjugate_component(t: Triple, index: int) -> Fraction:
     _require_solution(t)
     if index not in (0, 1, 2):
         raise ValueError(f"component index must be 0, 1 or 2, got {index}")
-    return _conjugate_raw(t.s, t.components, index)
+    return _conjugate_fraction(t.s, t.components, index)
+
+
+def _integral_moves(s: int, comps: tuple[int, int, int]):
+    """(component index, conjugate, sorted resulting triple) for every
+    conjugate that is a positive integer different from the component it
+    replaces."""
+    for i in range(3):
+        v = _conjugate(s, comps, i)
+        if v is not None and v >= 1 and v != comps[i]:
+            yield i, v, tuple(sorted(comps[:i] + (v,) + comps[i + 1 :]))
 
 
 def neighbors(t: Triple) -> list[Triple]:
@@ -111,18 +130,7 @@ def neighbors(t: Triple) -> list[Triple]:
     through different components are not merged here.
     """
     _require_solution(t)
-    out = []
-    for i in range(3):
-        conj = _conjugate_raw(t.s, t.components, i)
-        if conj.denominator != 1:
-            continue
-        v = int(conj)
-        if v < 1 or v == t.components[i]:
-            continue
-        nt = t.replace(i, v)
-        assert nt.is_solution
-        out.append(nt)
-    return out
+    return [t.replace(i, v) for i, v, _ in _integral_moves(t.s, t.components)]
 
 
 def family_triple(s: int, b: int, n: int, m: int) -> Triple:
@@ -175,11 +183,8 @@ def reduction_trace(t: Triple) -> list[Triple]:
     while True:
         comps = cur.components
         idx = comps.index(max(comps))
-        conj = _conjugate_raw(cur.s, comps, idx)
-        if conj.denominator != 1:
-            break
-        v = int(conj)
-        if v < 1 or v >= comps[idx]:
+        v = _conjugate(cur.s, comps, idx)
+        if v is None or v < 1 or v >= comps[idx]:
             break
         cur = cur.replace(idx, v).canonical()
         trace.append(cur)
@@ -205,21 +210,6 @@ def euclid_index_path(n: int, m: int) -> list[tuple[int, int]]:
             m -= n
         path.append((n, m))
     return path
-
-
-def _integral_moves(s, comps):
-    """(sorted replacement triple, component index) for every conjugate that
-    is a positive integer different from the component it replaces."""
-    for i in range(3):
-        conj = _conjugate_raw(s, comps, i)
-        if conj.denominator != 1:
-            continue
-        v = int(conj)
-        if v < 1 or v == comps[i]:
-            continue
-        repl = list(comps)
-        repl[i] = v
-        yield tuple(sorted(repl)), i
 
 
 @dataclass(frozen=True)
@@ -254,8 +244,9 @@ class SolutionGraph:
     def to_dot(self) -> str:
         lines = ["graph cayley {"]
         names = ["{},{},{}".format(*v) for v in self.vertices]
+        frontier = set(self.frontier)
         for i, name in enumerate(names):
-            mark = ' [peripheries=2]' if i in self.frontier else ""
+            mark = ' [peripheries=2]' if i in frontier else ""
             lines.append(f'  "{name}"{mark};')
         for i, j, k in self.edges:
             lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{COMPONENT_NAMES[k]}"];')
@@ -274,7 +265,7 @@ def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt, _ in _integral_moves(s, cur):
+        for _, _, nxt in _integral_moves(s, cur):
             if max(nxt) <= bound and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -284,7 +275,7 @@ def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
     frontier = set()
     for v in vertices:
         i = index[v]
-        for w, comp in _integral_moves(s, v):
+        for comp, _, w in _integral_moves(s, v):
             if max(w) > bound:
                 frontier.add(i)
                 continue

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayleycubic import (
     NonIntegralFamilyError,
@@ -11,6 +13,7 @@ from cayleycubic import (
     base_value,
     cayley_value,
     conjugate_component,
+    enumerate_solutions,
     euclid_index_path,
     family_triple,
     is_base,
@@ -20,6 +23,7 @@ from cayleycubic import (
     scaled_cheb_t,
     solution_graph,
 )
+from cayleycubic.triples import _conjugate
 
 
 def conjugate_roots(s, y, z):
@@ -119,6 +123,54 @@ def test_neighbors_skip_non_integral_and_fixed():
     # so it is dropped; only the s slot can move (here it cannot, 2*9*9/7 is
     # not integral)
     assert neighbors(Triple(7, 7, 9, 9)) == []
+
+
+def fraction_conjugate(s, comps, index):
+    """Test-side oracle for the integer conjugation kernel: 2yz/s - x built
+    as a Fraction, reduced to an int when integral and None otherwise."""
+    y, z = (comps[j] for j in range(3) if j != index)
+    conj = Fraction(2 * y * z, s) - comps[index]
+    return int(conj) if conj.denominator == 1 else None
+
+
+def assert_kernel_matches_oracle(s, comps):
+    for i in range(3):
+        assert _conjugate(s, comps, i) == fraction_conjugate(s, comps, i)
+
+
+@given(s=st.integers(min_value=1, max_value=40), bound=st.integers(min_value=1, max_value=200))
+@settings(max_examples=40, deadline=None)
+def test_conjugate_kernel_on_enumerated_solutions(s, bound):
+    for t in enumerate_solutions(s, bound):
+        assert_kernel_matches_oracle(s, t.components)
+
+
+@given(
+    s=st.integers(min_value=1, max_value=12),
+    mult=st.integers(min_value=3, max_value=12),
+    n=st.integers(min_value=100, max_value=999),
+    m=st.integers(min_value=100, max_value=999),
+)
+@settings(max_examples=30, deadline=None)
+def test_conjugate_kernel_on_chain_triples(s, mult, n, m):
+    assume(s * mult % 2 == 0)
+    t = family_triple(s, s * mult // 2, n, m)
+    assert_kernel_matches_oracle(s, t.components)
+    # read at s + 1 the same components are no solution, and a conjugate
+    # with hundreds of digits can be non-integral
+    assert_kernel_matches_oracle(s + 1, t.components)
+
+
+def test_neighbors_solve_the_cubic(s1_solutions_2000):
+    triples = list(s1_solutions_2000)
+    triples += enumerate_solutions(12, 400) + enumerate_solutions(24, 400)
+    triples += [family_triple(3, 6, 40, 27), family_triple(2, 5, 300, 131)]
+    moved = 0
+    for t in triples:
+        for nt in neighbors(t):
+            assert nt.is_solution
+            moved += 1
+    assert moved
 
 
 def test_family_triple_values():

@@ -1,11 +1,28 @@
+import contextlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cayleycubic import solution_graph, Triple
+from cayleycubic import family_triple, reduction_trace, solution_graph, Triple
 from cayleycubic.cli import run
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.11
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Let the test itself format and parse integers of any length."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_verify_solution(capsys):
@@ -59,6 +76,45 @@ def test_family_json(capsys):
     run(["family", "--s", "1", "--b", "2", "--n", "1", "--m", "2", "--format", "json"])
     blob = json.loads(capsys.readouterr().out)
     assert blob == {"s": 1, "b": 2, "n": 1, "m": 2, "triple": [2, 26, 7], "value": 0}
+
+
+def test_family_prints_components_past_the_digit_limit(capsys):
+    argv = ["family", "--s", "3", "--b", "6", "--n", "8000", "--m", "1"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert run(argv + ["--format", "json"]) == 0
+    blob = capsys.readouterr().out
+    t = family_triple(3, 6, 8000, 1)
+    with unlimited_digits():
+        assert len(str(t.a)) == 4576
+        assert text == "{},{},{}\n".format(*t.components)
+        assert json.loads(blob)["triple"] == list(t.components)
+
+
+def test_reduce_accepts_components_past_the_digit_limit(capsys):
+    t = family_triple(3, 6, 8000, 4000)
+    with unlimited_digits():
+        arg = "{},{},{}".format(*t.components)
+        expect = "".join("{},{},{}\n".format(*x.components) for x in reduction_trace(t))
+    assert len(arg) > 3 * 4300
+    assert run(["reduce", "--s", "3", "--triple", arg, "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert out == expect
+    assert out.endswith("\n3,{0},{0}\n".format(family_triple(3, 6, 4000, 0).a))
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python < 3.11 has no int/str digit limit")
+def test_run_restores_the_digit_limit(capsys):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(["family", "--s", "3", "--b", "6", "--n", "8000", "--m", "1"]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            run(["verify", "--s", "1", "--triple", "1,2"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_family_rejects_bad_multiplier():

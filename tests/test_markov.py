@@ -17,6 +17,7 @@ from cayleycubic import (
     sequence_overlap_search,
     splitting_identity_holds,
 )
+from cayleycubic.markov import _cohn_trace
 
 
 def drop_last_or_zero(word):
@@ -130,6 +131,17 @@ def test_power_sequence_recurrence():
                 assert seq[k] == q * seq[k - 1] - seq[k - 2]
 
 
+def test_trace_is_power_ratio():
+    # the integer trace is the rational multiplier K'(aa)/K'(a) of the power sequences
+    count = 0
+    for alen in (2, 4):
+        for alpha in product((1, 2, 3), repeat=alen):
+            q = Fraction(continuant_drop_last(alpha + alpha), continuant_drop_last(alpha))
+            assert _cohn_trace(alpha) == q
+            count += 1
+    assert count == 90
+
+
 def test_power_sequence_validation():
     with pytest.raises(ValueError):
         continuant_power_sequence((1,), (2,), 3)
@@ -185,6 +197,40 @@ def test_overlap_search_small_bounds():
     assert report.s1_coincidences == []
     blob = report.as_dict()
     assert sorted(blob) == ["bounds", "matches_s_ge_2", "s1_coincidences"]
+
+
+def overlap_search_oracle(max_entry, max_block_len, max_terms):
+    """Reference for sequence_overlap_search: every pair's power sequence in
+    full, by direct continuants, replayed against the chain in Fractions."""
+    matches, coincidences = [], []
+    entries = range(1, max_entry + 1)
+    for alen in range(2, max_block_len + 1, 2):
+        for alpha in product(entries, repeat=alen):
+            for blen in range(1, max_block_len + 1):
+                for beta in product(entries, repeat=blen):
+                    seq = [drop_last_or_zero(alpha * k + beta) for k in range(max_terms)]
+                    s0, b0 = seq[0], seq[1]
+                    x0, x1 = Fraction(s0), Fraction(b0)
+                    mult = Fraction(2 * b0, s0)
+                    ok = True
+                    for k in range(2, max_terms):
+                        x0, x1 = x1, mult * x1 - x0
+                        if x1 != seq[k]:
+                            ok = False
+                            break
+                    if ok:
+                        finding = {"alpha": list(alpha), "beta": list(beta), "s": s0, "b": b0, "terms": seq}
+                        (matches if s0 >= 2 else coincidences).append(finding)
+    bounds = {"max_entry": max_entry, "max_block_len": max_block_len, "max_terms": max_terms}
+    return {"bounds": bounds, "matches_s_ge_2": matches, "s1_coincidences": coincidences}
+
+
+@pytest.mark.parametrize("max_terms", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("max_block_len", [2, 3, 4])
+@pytest.mark.parametrize("max_entry", [1, 2, 3])
+def test_overlap_search_matches_replay_oracle(max_entry, max_block_len, max_terms):
+    report = sequence_overlap_search(max_entry, max_block_len, max_terms)
+    assert report.as_dict() == overlap_search_oracle(max_entry, max_block_len, max_terms)
 
 
 def test_overlap_search_validation():
