@@ -3,9 +3,11 @@ Exhaustive search and classification within a bound
 ===================================================
 
 For a fixed s, every solution with components <= bound can be found by
-solving the component quadratic over a grid of (a, b) pairs.  The rows
-are then tagged: chain members, base triples, isolated points, and
-triples whose only moves leave the bound.
+solving the component quadratic in c for the pairs (a, b) whose product
+(a^2 - s^2)(b^2 - s^2) is a square: b^2 - s^2 must lie in the square class
+of a^2 - s^2, so only those b are tried.  The rows are then tagged: chain
+members, base triples, isolated points, and triples whose only moves leave
+the bound.
 """
 
 from cayleycubic import classify, enumerate_solutions, family_membership

@@ -1,9 +1,13 @@
 """Exhaustive scans over 1..bound, split into spans run in worker processes."""
 
+import os
+
 
 def map_spans(fn, args: tuple, bound: int, workers: int) -> list:
     """Rows of fn(*args, lo, hi) over `workers` equal spans of 1..bound, in
-    span order; with workers <= 1, one call in this process."""
+    span order; workers are capped at the CPU count, and with one worker
+    there is one call in this process."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return fn(*args, 1, bound)
     # imported here: the pool module is a large share of the package's import time

@@ -16,7 +16,7 @@ from . import markov as mk
 from . import pell as pl
 from . import search as sr
 from . import triples as tr
-from .errors import BudgetExceededError, CayleyError, NotASolutionError
+from .errors import BudgetExceededError, CayleyError, InvariantError, NotASolutionError
 
 CORRECTION_NOTES = {
     "chebyshev": (
@@ -137,7 +137,6 @@ def _cmd_reduce(args) -> int:
 def _cmd_pell_one(args) -> int:
     inst = pl.family_one_instance(args.s, args.y)
     sols = [pl.pell_family_one(args.s, args.y, n) for n in range(1, args.count + 1)]
-    assert all(pl.verify_pell(inst, sol) for sol in sols)
     payload = {
         "d": inst.d,
         "rhs": inst.rhs,
@@ -155,7 +154,6 @@ def _cmd_pell_one(args) -> int:
 def _cmd_pell_two(args) -> int:
     inst = pl.family_two_instance(args.s, args.p, args.n)
     sols = [pl.pell_family_two(args.s, args.p, args.n, m) for m in range(1, args.count + 1)]
-    assert all(pl.verify_pell(inst, sol) for sol in sols)
     payload = {
         "d": inst.d,
         "rhs": inst.rhs,
@@ -353,7 +351,7 @@ def run(argv: list[str] | None = None) -> int:
         _notes(args)
         try:
             return args.func(args)
-        except (NotASolutionError, BudgetExceededError) as exc:
+        except (NotASolutionError, BudgetExceededError, InvariantError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except (CayleyError, ValueError) as exc:

@@ -19,3 +19,7 @@ class DegeneratePellError(CayleyError, ValueError):
 
 class BudgetExceededError(CayleyError, RuntimeError):
     """A bounded search would exceed its configured compute budget."""
+
+
+class InvariantError(CayleyError, RuntimeError):
+    """A result failed the exact check the library makes before returning it."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotASolutionError
+from .errors import InvariantError, NotASolutionError
 
 __all__ = [
     "MarkovTriple",
@@ -59,7 +59,8 @@ def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
     out = list(t)
     out[index] = v
     result = (out[0], out[1], out[2])
-    assert markov_value(*result) == 0
+    if markov_value(*result) != 0:
+        raise InvariantError(f"the move from {t} at {index} gave the non-solution {result}")
     return result
 
 

@@ -13,7 +13,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from ._spans import map_spans
-from .errors import DegeneratePellError
+from .errors import DegeneratePellError, InvariantError
 from .sequences import scaled_cheb_t, scaled_cheb_u
 
 __all__ = [
@@ -88,7 +88,8 @@ def pell_family_one(s: int, y: int, n: int) -> PellSolution:
         raise ValueError(f"n must be >= 1, got {n}")
     inst = family_one_instance(s, y)
     sol = PellSolution(scaled_cheb_t(s, y, n), scaled_cheb_u(s, y, n - 1))
-    assert inst.holds(*sol)
+    if not inst.holds(*sol):
+        raise InvariantError(f"chain solution {sol} fails {inst}")
     return sol
 
 
@@ -116,7 +117,8 @@ def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
     if diff % 2:
         raise ValueError(f"difference term {diff} is odd; no integer solution member")
     sol = PellSolution(scaled_cheb_t(s, p, m), diff // 2)
-    assert inst.holds(*sol)
+    if not inst.holds(*sol):
+        raise InvariantError(f"chain difference solution {sol} fails {inst}")
     return sol
 
 

@@ -1,9 +1,13 @@
 """Bounded exhaustive enumeration and classification of surface solutions.
 
-Enumeration fixes the two smallest components and solves the quadratic in
-the largest one with an exact integer square-root test, so a bound of B
-costs about B^2/2 quadratic solves.  Classification then connects the
-enumerated solutions by conjugation moves and tags each one.
+Enumeration fixes the two smallest components a <= b and solves the
+quadratic in the largest one.  It has a rational root only when
+(a^2 - s^2)(b^2 - s^2) is a square, that is when both factors lie in the
+same square class f (their squarefree part), so for each a only the b with
+b^2 - s^2 = +-f*w^2 are visited: about B*log(B)^2 candidates for a bound B
+instead of the B^2/2 pairs of the (a, b) grid.  The search stays exhaustive.
+Classification then connects the enumerated solutions by conjugation moves
+and tags each one.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from ._spans import map_spans
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .sequences import scaled_cheb_t
 from .triples import Triple, _conjugate, _conjugate_fraction, base_value, reduction_trace
 
@@ -35,24 +39,60 @@ __all__ = [
 TAG_ORDER = ("base", "r-family", "isolated", "frontier-limited")
 
 
+def _squarefree_cores(n: int) -> list[int]:
+    """core[k] for 0 <= k <= n: k with every square factor divided out."""
+    core = list(range(n + 1))
+    for k in range(2, isqrt(n) + 1):
+        kk = k * k
+        # a composite k never divides: its primes' squares are already gone
+        for m in range(kk, n + 1, kk):
+            while core[m] % kk == 0:
+                core[m] //= kk
+    return core
+
+
 def _enumerate_range(s: int, bound: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """Solutions (a, b, c) with lo <= a <= hi, a <= b <= c <= bound.
+
+    The quadratic in c has the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).
+    For a > s write a^2 - s^2 = f*g^2 with f squarefree: the product is a
+    square exactly when b^2 - s^2 = f*w^2, and then r = f*g*w, so only those
+    b are visited.  a = s gives the rows (s, b, b); for a < s only b < s can
+    give a root c >= b, and then s^2 - b^2 = f*w^2 with 1 <= w <= g.
+
+    For a != s only (ab + r)/s is tried: the smaller root is below b.  For
+    a > s the quadratic at c = b, (s - a)(2b^2 - s(a + s)), is negative; for
+    a < s the smaller root is below the vertex ab/s < b.
+    """
     rows = []
-    ss = s * s
+    # A solution has a^2 + b^2 + c^2 = s^2 + 2abc/s > s^2, so there is none
+    # when 3*bound^2 < s^2; returning here keeps the core table O(bound)
+    # however large s is.
+    if s * s > 3 * bound * bound:
+        return rows
+    ss, bb = s * s, bound * bound
+    core = _squarefree_cores(hi + s)
     for a in range(lo, hi + 1):
-        da = a * a - ss
-        for b in range(a, bound + 1):
-            disc = da * (b * b - ss)
-            if disc < 0:
+        if a == s:
+            rows.extend((s, b, b) for b in range(s, bound + 1))
+            continue
+        u, v = core[abs(a - s)], core[a + s]
+        h = gcd(u, v)
+        f = (u // h) * (v // h)
+        g = isqrt(abs(a * a - ss) // f)
+        # b^2 - s^2 = sf*w^2 takes the sign of a^2 - s^2
+        if a > s:
+            sf, ws = f, range(g, isqrt((bb - ss) // f) + 1)
+        else:
+            sf, ws = -f, range(1, g + 1)
+        for w in ws:
+            b2 = ss + sf * w * w
+            b = isqrt(b2)
+            if b * b != b2:
                 continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for num in {a * b - r, a * b + r}:
-                if num <= 0:
-                    continue
-                c, rem = divmod(num, s)
-                if rem == 0 and b <= c <= bound:
-                    rows.append((a, b, c))
+            c, rem = divmod(a * b + f * g * w, s)
+            if rem == 0 and b <= c <= bound:
+                rows.append((a, b, c))
     return rows
 
 
@@ -65,8 +105,10 @@ def enumerate_solutions(
 ) -> list[Triple]:
     """All solutions with 1 <= a <= b <= c <= bound, canonical and sorted.
 
-    The number of quadratic solves is bound*(bound+1)/2; if a budget is given
-    and would be exceeded the call fails up front rather than part-way.
+    The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of
+    the grid; the square-class scan visits far fewer, so the plan is an upper
+    bound on the work.  If a budget is given and the plan exceeds it, the
+    call fails up front rather than part-way.
     """
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
@@ -111,18 +153,23 @@ def family_membership(t: Triple) -> tuple[int, int, int] | None:
         cc = Counter(v for v, _ in cur)
         added = list((pc - cc).elements())
         removed = list((cc - pc).elements())
-        assert len(added) == 1 and len(removed) == 1
+        if len(added) != 1 or len(removed) != 1:
+            raise InvariantError(f"trace step to {prev} does not replace exactly one component")
         v_new, v_old = added[0], removed[0]
         pos = next(k for k, (v, _) in enumerate(cur) if v == v_old)
         old_idx = cur[pos][1]
         del cur[pos]
         (i1, i2) = (cur[0][1], cur[1][1])
-        assert old_idx == abs(i1 - i2)
+        if old_idx != abs(i1 - i2):
+            raise InvariantError(
+                f"trace step to {prev} replaces index {old_idx}, not {abs(i1 - i2)}"
+            )
         cur.append((v_new, i1 + i2))
+    # the check above keeps the indices of the form {i, j, i + j}
     n, m, top = sorted(idx for _, idx in cur)
-    assert top == n + m
     expect = sorted(scaled_cheb_t(s, p, i) for i in (n, m, top))
-    assert expect == sorted(t.components)
+    if expect != sorted(t.components):
+        raise InvariantError(f"chain ({p}, {n}, {m}) gives {expect}, not {t.components}")
     return (p, n, m)
 
 

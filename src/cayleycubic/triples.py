@@ -139,14 +139,12 @@ def family_triple(s: int, b: int, n: int, m: int) -> Triple:
         raise ValueError(f"chain indices must be non-negative, got ({n}, {m})")
     if n == 0 and m == 0:
         raise ValueError("indices (0, 0) give the degenerate triple (s, s, s) twice over")
-    t = Triple(
+    return Triple(
         s,
         scaled_cheb_t(s, b, n),
         scaled_cheb_t(s, b, n + m),
         scaled_cheb_t(s, b, m),
     )
-    assert t.is_solution
-    return t
 
 
 def is_singular(t: Triple) -> bool:

@@ -253,6 +253,17 @@ def test_search_budget_flag(capsys):
     assert "budget" in captured.err
 
 
+def test_failed_result_check_exits_1(capsys, monkeypatch):
+    from cayleycubic import pell
+
+    monkeypatch.setattr(pell, "scaled_cheb_u", lambda s, y, n: 0)
+    code = run(["pell-one", "--s", "1", "--y", "2", "--count", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: chain solution")
+
+
 def test_search_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CAYLEY_BUDGET", "10")
     code = run(["search", "--s", "1", "--bound", "100"])

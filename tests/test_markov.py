@@ -5,6 +5,7 @@ import pytest
 
 from cayleycubic import (
     MAX_TREE_DEPTH,
+    InvariantError,
     NotASolutionError,
     continuant,
     continuant_drop_last,
@@ -17,6 +18,7 @@ from cayleycubic import (
     sequence_overlap_search,
     splitting_identity_holds,
 )
+from cayleycubic import markov as mk
 from cayleycubic.markov import _cohn_trace
 
 
@@ -40,6 +42,13 @@ def test_markov_neighbor():
         markov_neighbor((1, 2, 3), 0)
     with pytest.raises(ValueError):
         markov_neighbor((1, 2, 5), 3)
+
+
+def test_markov_neighbor_checks_its_result(monkeypatch):
+    # a value test that accepts the input but no other triple
+    monkeypatch.setattr(mk, "markov_value", lambda x, y, z: 0 if (x, y, z) == (1, 1, 1) else 1)
+    with pytest.raises(InvariantError):
+        markov_neighbor((1, 1, 1), 0)
 
 
 def test_markov_neighbor_is_involutive():

@@ -7,6 +7,7 @@ from cayleycubic import (
     FORM_A,
     FORM_Z,
     DegeneratePellError,
+    InvariantError,
     PellInstance,
     PellSolution,
     family_one_instance,
@@ -18,6 +19,7 @@ from cayleycubic import (
     scaled_cheb_u,
     verify_pell,
 )
+from cayleycubic import pell as pl
 
 FAMILY_ONE_S1_Y2 = [(2, 1), (7, 4), (26, 15), (97, 56), (362, 209), (1351, 780)]
 
@@ -112,6 +114,22 @@ def test_family_two_values():
     assert got == [(4, 120), (31, 960), (244, 7560)]
     for z, a in got:
         assert a * a - 960 * z * z == -960
+
+
+def test_family_one_rejects_a_wrong_companion(monkeypatch):
+    monkeypatch.setattr(pl, "scaled_cheb_u", lambda s, y, n: scaled_cheb_u(s, y, n) + 1)
+    with pytest.raises(InvariantError):
+        pell_family_one(1, 2, 3)
+
+
+def test_family_two_rejects_a_wrong_chain_value(monkeypatch):
+    # off by 2 at index m = 3 only: the instance (n = 1) and the difference
+    # term (indices 4 and 2) keep their true values
+    monkeypatch.setattr(
+        pl, "scaled_cheb_t", lambda s, p, k: scaled_cheb_t(s, p, k) + (2 if k == 3 else 0)
+    )
+    with pytest.raises(InvariantError):
+        pell_family_two(1, 4, 1, 3)
 
 
 def test_family_two_matches_oracle():

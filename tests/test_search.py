@@ -1,12 +1,14 @@
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayleycubic import (
     BudgetExceededError,
+    InvariantError,
     Triple,
     classifications_to_csv,
     classifications_to_jsonl,
@@ -18,6 +20,76 @@ from cayleycubic import (
     triples_to_csv,
     triples_to_jsonl,
 )
+from cayleycubic import _spans
+from cayleycubic import search as sr
+
+
+def _grid_enumerate(s, bound):
+    """Reference oracle: solve the quadratic in c at every (a, b) grid pair."""
+    rows = []
+    ss = s * s
+    for a in range(1, bound + 1):
+        da = a * a - ss
+        for b in range(a, bound + 1):
+            disc = da * (b * b - ss)
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in {a * b - r, a * b + r}:
+                if num <= 0:
+                    continue
+                c, rem = divmod(num, s)
+                if rem == 0 and b <= c <= bound:
+                    rows.append((a, b, c))
+    return sorted(rows)
+
+
+@given(s=st.integers(1, 40), bound=st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+def test_enumerate_matches_grid_oracle(s, bound):
+    assert [t.components for t in enumerate_solutions(s, bound)] == _grid_enumerate(s, bound)
+
+
+@pytest.mark.parametrize(
+    "s, bound",
+    [
+        (30, 29),  # bound < s: only the a < s region can hold solutions
+        (100, 300),  # a < s region with many rows below s
+        (40, 400),
+        (70, 40),  # 3*bound^2 < s^2: no solution at all
+        (70, 41),
+    ],
+)
+def test_enumerate_pinned_against_grid_oracle(s, bound):
+    assert [t.components for t in enumerate_solutions(s, bound)] == _grid_enumerate(s, bound)
+
+
+@given(
+    s=st.integers(1, 40),
+    bound=st.integers(1, 300),
+    cuts=st.sets(st.integers(1, 299), max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_enumerate_spans_concatenate(s, bound, cuts):
+    # worker spans are contiguous ranges of a; together they must give the
+    # single-span rows exactly, in order
+    edges = [0] + sorted(c for c in cuts if c < bound) + [bound]
+    parts = [sr._enumerate_range(s, bound, lo + 1, hi) for lo, hi in zip(edges, edges[1:])]
+    assert [r for part in parts for r in part] == sr._enumerate_range(s, bound, 1, bound)
+
+
+def test_map_spans_caps_workers_at_cpu_count(monkeypatch):
+    calls = []
+
+    def fn(tag, lo, hi):
+        calls.append((tag, lo, hi))
+        return [lo, hi]
+
+    monkeypatch.setattr(_spans.os, "cpu_count", lambda: 1)
+    assert _spans.map_spans(fn, ("x",), 500, 64) == [1, 500]
+    assert calls == [("x", 1, 500)]
 
 
 def test_enumerate_small_s5():
@@ -101,25 +173,50 @@ def test_family_membership_rejections():
     assert family_membership(Triple(24, 24, 18, 18)) is None
 
 
-def test_family_membership_roundtrip():
-    import random
+@given(
+    s=st.integers(1, 8),
+    mult=st.integers(2, 12),
+    n=st.integers(0, 8),
+    m=st.integers(0, 8),
+)
+@settings(max_examples=150, deadline=None)
+def test_family_membership_roundtrip(s, mult, n, m):
+    # base b with chain multiplier 2b/s = mult, so s | 2b
+    assume((s * mult) % 2 == 0 and (n, m) != (0, 0))
+    b = s * mult // 2
+    t = family_triple(s, b, n, m)
+    assert t.is_solution
+    fam = family_membership(t)
+    assert fam is not None, (s, b, n, m)
+    bb, nn, mm = fam
+    assert nn <= mm
+    rebuilt = family_triple(s, bb, nn, mm)
+    assert sorted(rebuilt.components) == sorted(t.components)
 
-    rng = random.Random(7)
-    seen = 0
-    while seen < 60:
-        s = rng.randint(1, 8)
-        b = rng.choice([v for v in range(s, 25) if (2 * v) % s == 0])
-        n, m = rng.randint(0, 6), rng.randint(0, 6)
-        if n == 0 and m == 0:
-            continue
-        t = family_triple(s, b, n, m)
-        fam = family_membership(t)
-        assert fam is not None, (s, b, n, m)
-        bb, nn, mm = fam
-        assert nn <= mm
-        rebuilt = family_triple(s, bb, nn, mm)
-        assert sorted(rebuilt.components) == sorted(t.components)
-        seen += 1
+
+def _fake_trace(monkeypatch, *steps):
+    monkeypatch.setattr(sr, "reduction_trace", lambda t: [Triple(1, *c) for c in steps])
+
+
+def test_family_membership_rejects_a_step_changing_two_components(monkeypatch):
+    _fake_trace(monkeypatch, (5, 6, 7), (1, 2, 2))
+    with pytest.raises(InvariantError, match="exactly one component"):
+        family_membership(Triple(1, 5, 6, 7))
+
+
+def test_family_membership_rejects_a_step_at_the_wrong_index(monkeypatch):
+    # from (2, 2, 7) = (X_1, X_1, X_2) on base (1, 2) the step must replace
+    # an X_1; replacing X_2 breaks the index replay
+    _fake_trace(monkeypatch, (2, 2, 1000), (2, 2, 7), (1, 2, 2))
+    with pytest.raises(InvariantError, match="replaces index 2, not 0"):
+        family_membership(Triple(1, 2, 2, 1000))
+
+
+def test_family_membership_rejects_a_replay_off_the_chain(monkeypatch):
+    # consistent indices (0, 1, 1), but 8 is not X_1 = 2 of base (1, 2)
+    _fake_trace(monkeypatch, (1, 2, 8), (1, 2, 2))
+    with pytest.raises(InvariantError, match=r"gives \[1, 2, 2\], not \(1, 2, 8\)"):
+        family_membership(Triple(1, 1, 2, 8))
 
 
 def test_classify_s24_isolated():
