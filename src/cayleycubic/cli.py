@@ -136,7 +136,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_pell_one(args) -> int:
     inst = pl.family_one_instance(args.s, args.y)
-    sols = [pl.pell_family_one(args.s, args.y, n) for n in range(1, args.count + 1)]
+    sols = pl.pell_family_one_members(args.s, args.y, args.count)
     payload = {
         "d": inst.d,
         "rhs": inst.rhs,
@@ -356,6 +356,16 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         except (CayleyError, ValueError) as exc:
             parser.exit(2, f"error: {exc}\n")
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            return 1
+        except Exception as exc:
+            # imported here: only a started pool raises it, and the import (with logging) slows start-up
+            from concurrent.futures import BrokenExecutor
+            if not isinstance(exc, BrokenExecutor):
+                raise
+            print(f"error: worker pool failed: {exc}", file=sys.stderr)
+            return 1
         return 0
     finally:
         if previous is not None:

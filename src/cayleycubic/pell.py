@@ -2,8 +2,8 @@
 
 Two families: chain values against their second-kind companions solve
 z^2 - d*a^2 = s^2 with d = y^2 - s^2, and chain differences solve
-a^2 - d*z^2 = -s^2*d.  An exhaustive scan oracle provides independent
-verification; there is no fundamental-solution machinery here.
+a^2 - d*z^2 = -s^2*d.  pell_oracle verifies both without the chains: it
+multiplies the solutions in one fundamental domain by the fundamental unit.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "verify_pell",
     "family_one_instance",
     "pell_family_one",
+    "pell_family_one_members",
     "family_two_instance",
     "pell_family_two",
     "pell_oracle",
@@ -93,6 +94,20 @@ def pell_family_one(s: int, y: int, n: int) -> PellSolution:
     return sol
 
 
+def pell_family_one_members(s: int, y: int, count: int) -> list[PellSolution]:
+    """pell_family_one(s, y, n) for n = 1..count, in one pass: both components
+    obey X[k+1] = (2y/s)*X[k] - X[k-1], and every member is checked."""
+    inst = family_one_instance(s, y)
+    sols = [pell_family_one(s, y, n) for n in range(1, min(count, 2) + 1)]
+    while len(sols) < count:
+        (z0, a0), (z1, a1) = sols[-2:]
+        sol = PellSolution(2 * y // s * z1 - z0, 2 * y // s * a1 - a0)
+        if not inst.holds(*sol):
+            raise InvariantError(f"chain solution {sol} fails {inst}")
+        sols.append(sol)
+    return sols
+
+
 def family_two_instance(s: int, p: int, n: int) -> PellInstance:
     """The equation a^2 - d*z^2 = -s^2*d with d = chain(n)^2 - s^2 at base (s, p)."""
     if n < 1:
@@ -145,6 +160,21 @@ def _oracle_range(d: int, rhs: int, form: str, include_zero: bool, lo: int, hi: 
     return out
 
 
+def _fundamental_unit(f: int, cap: int) -> tuple[int, int] | None:
+    """The least (x, y) with x^2 - f*y^2 = 1 for non-square f, from the
+    convergents of sqrt(f); None once a convergent numerator passes cap."""
+    a0 = isqrt(f)
+    m, q, a, x0, x, y0, y = 0, 1, a0, 1, a0, 0, 1
+    while x <= cap:
+        if x * x - f * y * y == 1:
+            return x, y
+        m = q * a - m
+        q = (f - m * m) // q
+        a = (a0 + m) // q
+        x0, x, y0, y = x, a * x + x0, y, a * y + y0
+    return None
+
+
 def pell_oracle(
     inst: PellInstance,
     bound: int,
@@ -152,12 +182,48 @@ def pell_oracle(
     include_zero: bool = False,
     workers: int = 1,
 ) -> list[PellSolution]:
-    """All solutions with 1 <= z <= bound, by exhaustive scan with exact square tests.
+    """All solutions with 1 <= z <= bound, ascending in z; a = 0 only with include_zero.
 
-    Output ascends in z.  Solutions with a = 0 are dropped unless include_zero
-    is set.
+    Exhaustive.  Write d = f*g^2 and N = rhs (N = 0 has no solution with z >= 1,
+    as d is not a square).  A solution is a point X + W*sqrt(f) of norm N with
+    X, W >= 0 and g | W: (X, W) = (z, g*a) for z2-da2, (a, g*z) for a2-dz2.  Each
+    such point is at least sqrt|N|, so it is gamma*eps^k with k >= 0, eps =
+    x1 + y1*sqrt(f) the least unit of norm 1, and gamma such a point in
+    [sqrt|N|, sqrt|N|*eps).  Both coordinates grow with gamma there, so one scan
+    of the bounded coordinate (X <= top = bound, or W <= top = g*bound) below its
+    value at sqrt|N|*eps finds every gamma, and multiplying by eps while it stays
+    <= top gives the rest.  The direct scan of z = 1..bound, over `workers`
+    processes, runs instead when that scan would reach bound, or when
+    x1 > (top+1)*(isqrt(f)+1), where the expansion of sqrt(f) stops.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    rows = map_spans(_oracle_range, (inst.d, inst.rhs, inst.form, include_zero), bound, workers)
-    return [PellSolution(*r) for r in sorted(rows)]
+    d, n, form = inst.d, inst.rhs, inst.form
+    if n == 0:
+        return []
+    f, g, p = d, 1, 2
+    while p * p <= min(f, bound):  # at most sqrt(bound) steps, far fewer than the direct scan
+        while f % (p * p) == 0:
+            f, g = f // (p * p), g * p
+        p += 1
+    top = bound if form == FORM_Z else g * bound
+    unit = _fundamental_unit(f, (top + 1) * (isqrt(f) + 1))
+    c = bound
+    if unit is not None:
+        x1, y1 = unit
+        # c: the last integer below the bounded coordinate at sqrt|N|*eps
+        if form == FORM_Z:
+            c = isqrt(x1 * x1 * n - 1) if n > 0 else isqrt(-n * f * y1 * y1 - 1)
+        else:
+            c = isqrt(y1 * y1 * n - 1) if n > 0 else isqrt((-n * x1 * x1 - 1) // f)
+    if c >= bound:
+        rows = map_spans(_oracle_range, (d, n, form, include_zero), bound, workers)
+    else:
+        rows = []
+        for u, v in _oracle_range(f, n, form, True, 0, c):
+            x, w = (u, v) if form == FORM_Z else (v, u)
+            while (x if form == FORM_Z else w) <= top:
+                if w % g == 0:
+                    rows.append((x, w // g) if form == FORM_Z else (w // g, x))
+                x, w = x1 * x + f * y1 * w, y1 * x + x1 * w
+    return [PellSolution(z, a) for z, a in sorted(rows) if z >= 1 and (a or include_zero)]

@@ -264,6 +264,40 @@ def test_failed_result_check_exits_1(capsys, monkeypatch):
     assert captured.err.splitlines()[-1].startswith("error: chain solution")
 
 
+def test_interrupt_exits_1(capsys, monkeypatch):
+    from cayleycubic import search
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search, "enumerate_solutions", interrupted)
+    code = run(["search", "--s", "1", "--bound", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: interrupted\n"
+
+
+def test_broken_worker_pool_exits_1(capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    from cayleycubic import pell
+
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+    monkeypatch.setattr(pell, "pell_oracle", broken)
+    code = run(["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: worker pool failed: a child process terminated abruptly\n"
+    # any other error still propagates
+    monkeypatch.setattr(pell, "pell_oracle", lambda *args, **kwargs: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        run(["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30"])
+
+
 def test_search_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CAYLEY_BUDGET", "10")
     code = run(["search", "--s", "1", "--bound", "100"])

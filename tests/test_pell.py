@@ -1,7 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayleycubic import (
     FORM_A,
@@ -89,6 +94,9 @@ def test_oracle_zero_handling():
         PellSolution(2, 1),
     ]
     assert pell_oracle(inst, 5) == [PellSolution(2, 1)]
+    # rhs = 0 forces z = a = 0 when d is not a square
+    assert pell_oracle(PellInstance(3, 0, FORM_Z), 50, include_zero=True) == []
+    assert pell_oracle(PellInstance(12, 0, FORM_A), 50, include_zero=True) == []
 
 
 def test_oracle_scaled_instance():
@@ -101,6 +109,23 @@ def test_oracle_worker_agreement():
     assert pell_oracle(inst, 1400, workers=3) == pell_oracle(inst, 1400, workers=1)
     inst2 = family_two_instance(1, 4, 2)
     assert pell_oracle(inst2, 250, workers=2) == pell_oracle(inst2, 250)
+
+
+def test_family_one_members_match_pointwise():
+    for s in range(1, 7):
+        for y in [v for v in range(s + 1, 40) if (2 * v) % s == 0]:
+            want = [pell_family_one(s, y, n) for n in range(1, 31)]
+            for count in (-1, 0, 1, 2, 3, 30):
+                assert pl.pell_family_one_members(s, y, count) == want[: max(count, 0)]
+
+
+def test_family_one_members_check_every_member(monkeypatch):
+    # a wrong second member (unchecked here) makes the third fail its equation
+    one = pell_family_one
+    monkeypatch.setattr(pl, "pell_family_one", lambda s, y, n: one(s, y, n)._replace(a=one(s, y, n).a + (n == 2)))
+    assert len(pl.pell_family_one_members(1, 2, 2)) == 2
+    with pytest.raises(InvariantError):
+        pl.pell_family_one_members(1, 2, 3)
 
 
 def test_family_two_instance():
@@ -197,3 +222,129 @@ def test_unit_fraction_approximates_sqrt3():
     # (x^2-3)/(x + 173/100)
     err_bound = (x * x - 3) / (x + Fraction(173, 100))
     assert err_bound < Fraction(5, 10**7)
+
+
+# ---- the oracle against the direct scan --------------------------------------
+
+
+def _direct(inst, bound, include_zero=False):
+    """Reference: every z in 1..bound, tested with an exact square root."""
+    return [PellSolution(*r) for r in pl._oracle_range(inst.d, inst.rhs, inst.form, include_zero, 1, bound)]
+
+
+@st.composite
+def _instances(draw):
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 60)) * draw(st.integers(1, 15)) ** 2
+    else:
+        d = draw(st.integers(2, 5000))
+    assume(isqrt(d) ** 2 != d)
+    k = draw(st.integers(1, 40))
+    rhs = draw(st.sampled_from([0, k * k, -k * k, -k * k * d, draw(st.integers(-5000, 5000))]))
+    return PellInstance(d, rhs, draw(st.sampled_from([FORM_Z, FORM_A])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instances(), st.integers(1, 3000), st.booleans())
+def test_oracle_matches_direct_scan(inst, bound, include_zero):
+    assert pell_oracle(inst, bound, include_zero=include_zero) == _direct(inst, bound, include_zero)
+
+
+@pytest.mark.parametrize(
+    "d, rhs, form",
+    [
+        (3, 1, FORM_A),  # the only seed is (X, W) = (1, 0): the scan must start at W = 0
+        (12, -12, FORM_Z),  # d = 3 * 2^2; the only seed is (0, 2): X = 0
+        (3, 1, FORM_Z),  # seed (1, 0) at X = 1, the last integer below x1 * sqrt(1) = 2
+        (3, -299, FORM_A),  # seed (28, 19) at W = 19, the last integer below 2 * sqrt(299 / 3)
+    ],
+)
+def test_oracle_seeds_on_the_domain_edges(d, rhs, form):
+    inst = PellInstance(d, rhs, form)
+    for include_zero in (False, True):
+        got = pell_oracle(inst, 10**4, include_zero=include_zero)
+        assert got == _direct(inst, 10**4, include_zero)
+        assert len(got) >= 3
+
+
+WORKLOAD_BASES = [(s, mult * s // 2) for s in range(1, 7) for mult in (4, 6)]
+
+
+@pytest.mark.parametrize("s, y", WORKLOAD_BASES)
+def test_oracle_matches_direct_scan_on_chain_instances(s, y):
+    # the shapes of the chain instances the benchmark asks about: family one at
+    # (s, y), family two anchored at chain indices 2 and 3
+    for inst in (family_one_instance(s, y), family_two_instance(s, y, 2), family_two_instance(s, y, 3)):
+        got = pell_oracle(inst, 10**5)
+        assert got == _direct(inst, 10**5)
+        assert len(got) >= 5
+
+
+def _record_scans(monkeypatch):
+    spans = []
+    scan = pl._oracle_range
+
+    def recording(d, rhs, form, include_zero, lo, hi):
+        spans.append((d, lo, hi))
+        return scan(d, rhs, form, include_zero, lo, hi)
+
+    monkeypatch.setattr(pl, "_oracle_range", recording)
+    return spans
+
+
+def test_oracle_scans_a_fundamental_domain_only(monkeypatch):
+    # d = 245000 = 2 * 350^2 and rhs = -5^2 * d: family two at base (5, 15),
+    # anchor index 3; the domain of the unit 3 + 2*sqrt(2) has W < 5250
+    spans = _record_scans(monkeypatch)
+    inst = PellInstance(245000, -6125000, FORM_A)
+    assert inst == family_two_instance(5, 15, 3)
+    got = pell_oracle(inst, 10**6)
+    assert sum(hi - lo + 1 for _, lo, hi in spans) < 10**4
+    assert [d for d, _, _ in spans] == [2]
+    members = [pell_family_two(5, 15, 3, m) for m in range(1, 8)]
+    assert set(m for m in members if m.z <= 10**6) <= set(got)
+    assert all(inst.holds(*sol) and 1 <= sol.z <= 10**6 for sol in got)
+
+
+def test_fundamental_unit():
+    # the least solution: of norm 1, and no smaller y works (searched up to 1000)
+    for f in range(2, 200):
+        if isqrt(f) ** 2 == f:
+            continue
+        x, y = pl._fundamental_unit(f, 10**40)
+        assert x * x - f * y * y == 1
+        smaller = [v for v in range(1, min(y, 1000)) if isqrt(f * v * v + 1) ** 2 == f * v * v + 1]
+        assert smaller == []
+    assert pl._fundamental_unit(61, 1766319049) == (1766319049, 226153980)
+    assert pl._fundamental_unit(61, 1766319048) is None
+
+
+def test_oracle_falls_back_to_the_direct_scan(monkeypatch):
+    # 61 is prime and its unit 1766319049 + 226153980*sqrt(61) passes the cap
+    # (bound + 1)*(isqrt(61) + 1) = 808 at bound 100
+    spans = _record_scans(monkeypatch)
+    inst = PellInstance(61, 36, FORM_Z)
+    got = pell_oracle(inst, 100, include_zero=True)
+    assert spans == [(61, 1, 100)]
+    assert got == _direct(inst, 100, True) == [PellSolution(6, 0), PellSolution(55, 7)]
+
+
+def test_oracle_fallback_worker_agreement():
+    # the instances of test_oracle_worker_agreement now take the domain path,
+    # where workers play no part; this one splits the direct scan
+    inst = PellInstance(61, 36, FORM_Z)
+    assert pell_oracle(inst, 2000, workers=2) == pell_oracle(inst, 2000) == _direct(inst, 2000)
+
+
+def test_oracle_stops_the_expansion_at_the_cap():
+    # the unit of x^2 - d*y^2 = 1 for this d has more than 300 digits; the
+    # expansion must stop once a numerator passes 11*(10^15 + 1), after a few
+    # convergents, and z <= 10 is scanned.  Without the cap this call hangs.
+    d = 10**30 + 7
+    out = subprocess.run(
+        [sys.executable, "-c", f"from cayleycubic import *; print(pell_oracle(PellInstance({d}, 1), 10))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.stdout == "[]\n"
