@@ -203,9 +203,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_markov_tree(args) -> int:
     if args.format == "dot":
-        print(mk.markov_tree_dot(args.depth), end="")
+        print(mk.markov_tree_dot(args.depth, budget=_budget(args)), end="")
     else:
-        triples = mk.markov_tree(args.depth)
+        triples = mk.markov_tree(args.depth, budget=_budget(args))
         print(json.dumps({"depth": args.depth, "triples": [list(t) for t in triples]}))
     return 0
 
@@ -320,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("markov-tree", help="Markov triples within a move depth of (1,1,1)")
     p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--budget", type=int, default=None, help="cap on tree triples (env CAYLEY_BUDGET)")
     fmt(p, ("json", "dot"), "json")
     p.set_defaults(func=_cmd_markov_tree)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InvariantError, NotASolutionError
+from .errors import BudgetExceededError, InvariantError, NotASolutionError
 
 __all__ = [
     "MarkovTriple",
@@ -40,6 +40,13 @@ def markov_value(x: int, y: int, z: int) -> int:
     return x * x + y * y + z * z - 3 * x * y * z
 
 
+def _flip(t: MarkovTriple, index: int) -> MarkovTriple:
+    """The move of markov_neighbor without its checks."""
+    out = list(t)
+    out[index] = 3 * out[index - 1] * out[index - 2] - out[index]
+    return tuple(out)
+
+
 def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
     """Replace one component by 3*(product of the others) - component.
 
@@ -52,57 +59,70 @@ def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
         raise ValueError(f"components must be positive integers, got {t}")
     if markov_value(*t) != 0:
         raise NotASolutionError(f"{t} does not solve the Markov equation")
-    y, z = (t[j] for j in range(3) if j != index)
-    v = 3 * y * z - t[index]
-    if v < 1:
-        raise ValueError(f"replacement component {v} is not positive")
-    out = list(t)
-    out[index] = v
-    result = (out[0], out[1], out[2])
+    result = _flip(t, index)
+    if result[index] < 1:
+        raise ValueError(f"replacement component {result[index]} is not positive")
     if markov_value(*result) != 0:
         raise InvariantError(f"the move from {t} at {index} gave the non-solution {result}")
     return result
 
 
-def _tree_levels(depth: int):
+def _tree_levels(depth: int, budget: int | None):
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
     if depth > MAX_TREE_DEPTH:
         raise ValueError(f"depth {depth} exceeds the cap of {MAX_TREE_DEPTH}")
-    root = (1, 1, 1)
-    seen = {root}
-    parents: dict[MarkovTriple, MarkovTriple] = {}
-    level = [root]
+    # past (1, 1, 2) every triple has two children: its moves that do not lead back
+    planned = 2 ** (depth - 1) + 1 if depth else 1
+    if budget is not None and planned > budget:
+        raise BudgetExceededError(
+            f"a Markov tree of depth {depth} has {planned} triples, budget is {budget}"
+        )
+    # parent of each triple reached; the root (1, 1, 1) has none
+    parents: dict[MarkovTriple, MarkovTriple | None] = {(1, 1, 1): None}
+    level = [(1, 1, 1)]
     for _ in range(depth):
         nxt = []
         for t in level:
             for i in range(3):
-                w = tuple(sorted(markov_neighbor(t, i)))
-                if w not in seen:
-                    seen.add(w)
-                    parents[w] = t
-                    nxt.append(w)
+                w = tuple(sorted(_flip(t, i)))
+                if w in parents:
+                    continue
+                # the one check of each new triple
+                if w[0] < 1 or markov_value(*w) != 0:
+                    raise InvariantError(f"the move from {t} at {i} gave the non-solution {w}")
+                parents[w] = t
+                nxt.append(w)
         level = sorted(nxt)
-    return seen, parents
+    return parents
 
 
-def markov_tree(depth: int) -> list[MarkovTriple]:
-    """All canonical (sorted) Markov triples within `depth` moves of (1, 1, 1)."""
-    seen, _ = _tree_levels(depth)
-    return sorted(seen)
+def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
+    """All canonical (sorted) Markov triples within `depth` moves of (1, 1, 1).
+
+    Each triple past the root is checked once against the equation, as it is
+    first reached (InvariantError on a failure).  Depth d >= 1 gives
+    2**(d-1) + 1 triples; BudgetExceededError, before any work, when that
+    exceeds `budget`.
+    """
+    return sorted(_tree_levels(depth, budget))
 
 
-def markov_tree_dot(depth: int) -> str:
-    """The same tree as a DOT digraph, parent pointing at child."""
-    seen, parents = _tree_levels(depth)
+def markov_tree_dot(depth: int, budget: int | None = None) -> str:
+    """The same tree as a DOT digraph, parent pointing at child.
+
+    Each triple is turned into decimal once, and the lines are joined once.
+    """
+    parents = _tree_levels(depth, budget)
+    order = sorted(parents)
+    names = {t: '"{},{},{}"'.format(*t) for t in order}
     lines = ["digraph markov {"]
-    for t in sorted(seen):
-        lines.append('  "{},{},{}";'.format(*t))
-    for child in sorted(parents):
-        parent = parents[child]
-        lines.append('  "{},{},{}" -> "{},{},{}";'.format(*parent, *child))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {names[t]};" for t in order]
+    # (1, 1, 1), the least triple, is the only one without a parent
+    lines += [f"  {names[parents[child]]} -> {names[child]};" for child in order[1:]]
+    lines.append("}\n")
+    del parents, order, names
+    return "\n".join(lines)
 
 
 def _check_word(word) -> tuple[int, ...]:
@@ -177,7 +197,7 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
     for k in range(2, count):
         nxt = tr * terms[k - 1] - terms[k - 2]
         if nxt != direct[k]:
-            raise ValueError(
+            raise InvariantError(
                 f"recurrence term {nxt} disagrees with direct value {direct[k]} at k={k}"
             )
         terms.append(nxt)
@@ -225,10 +245,14 @@ def sequence_overlap_search(
     b, X[k+1] = (2b/s)X[k] - X[k-1].  The power sequence obeys the same
     recurrence with the trace tr of alpha's continuant matrix as multiplier,
     and b >= 1, so the two agree at the third term, and then at every term,
-    exactly when 2b = tr*s: that integer test decides each pair.  Matches
-    with s >= 2 land in matches_s_ge_2 (expected empty); matches with s = 1
-    are recorded as coincidences; each lists its first max_terms terms.
-    The first two terms agree by construction, so max_terms must be >= 3.
+    exactly when 2b = tr*s: that integer test decides each pair, with K(alpha),
+    K'(alpha), tr computed once per alpha, K'(beta), K''(beta) once per beta
+    (K'' = 0 for a one-entry beta) and b = K(alpha)K'(beta) + K'(alpha)K''(beta)
+    from the product of continuant matrices (Aigner 2013).  Matches with s >= 2
+    land in matches_s_ge_2 (expected empty); matches with s = 1 are recorded
+    as coincidences; each lists its first max_terms terms, checked term by
+    term by continuant_power_sequence, whose first two must be s and b.  The
+    first two terms agree by construction, so max_terms must be >= 3.
     """
     if max_terms < 3:
         raise ValueError(f"max_terms must be >= 3, got {max_terms}")
@@ -237,22 +261,32 @@ def sequence_overlap_search(
     matches: list[dict] = []
     coincidences: list[dict] = []
     entries = range(1, max_entry + 1)
+    # (beta, K'(beta), K''(beta)) once per beta; K'' of a one-entry word is 0
+    betas = [
+        (beta, continuant_drop_last(beta), continuant_interior(beta) if blen > 1 else 0)
+        for blen in range(1, max_block_len + 1)
+        for beta in product(entries, repeat=blen)
+    ]
     for alen in range(2, max_block_len + 1, 2):
         for alpha in product(entries, repeat=alen):
-            tr = _cohn_trace(alpha)
-            for blen in range(1, max_block_len + 1):
-                for beta in product(entries, repeat=blen):
-                    s0, b0 = continuant_drop_last(beta), continuant_drop_last(alpha + beta)
-                    if 2 * b0 != tr * s0:
-                        continue
-                    finding = {
-                        "alpha": list(alpha),
-                        "beta": list(beta),
-                        "s": s0,
-                        "b": b0,
-                        "terms": continuant_power_sequence(alpha, beta, max_terms),
-                    }
-                    (matches if s0 >= 2 else coincidences).append(finding)
+            k, k_drop, tr = continuant(alpha), continuant_drop_last(alpha), _cohn_trace(alpha)
+            for beta, s0, inner in betas:
+                b0 = k * s0 + k_drop * inner
+                if 2 * b0 != tr * s0:
+                    continue
+                terms = continuant_power_sequence(alpha, beta, max_terms)
+                if terms[:2] != [s0, b0]:
+                    raise InvariantError(
+                        f"K'(beta), K'(alpha beta) = {s0}, {b0} disagree with the direct {terms[:2]}"
+                    )
+                finding = {
+                    "alpha": list(alpha),
+                    "beta": list(beta),
+                    "s": s0,
+                    "b": b0,
+                    "terms": terms,
+                }
+                (matches if s0 >= 2 else coincidences).append(finding)
     bounds = {
         "max_entry": max_entry,
         "max_block_len": max_block_len,

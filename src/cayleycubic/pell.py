@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from ._spans import map_spans
 from .errors import DegeneratePellError, InvariantError
-from .sequences import scaled_cheb_t, scaled_cheb_u
+from .sequences import family_multiplier, scaled_cheb_t, scaled_cheb_u
 
 __all__ = [
     "FORM_Z",
@@ -96,12 +96,13 @@ def pell_family_one(s: int, y: int, n: int) -> PellSolution:
 
 def pell_family_one_members(s: int, y: int, count: int) -> list[PellSolution]:
     """pell_family_one(s, y, n) for n = 1..count, in one pass: both components
-    obey X[k+1] = (2y/s)*X[k] - X[k-1], and every member is checked."""
+    obey X[k+1] = (2y/s)*X[k] - X[k-1]; the base and every member are checked."""
     inst = family_one_instance(s, y)
+    mult = family_multiplier(s, y)
     sols = [pell_family_one(s, y, n) for n in range(1, min(count, 2) + 1)]
     while len(sols) < count:
         (z0, a0), (z1, a1) = sols[-2:]
-        sol = PellSolution(2 * y // s * z1 - z0, 2 * y // s * a1 - a0)
+        sol = PellSolution(mult * z1 - z0, mult * a1 - a0)
         if not inst.holds(*sol):
             raise InvariantError(f"chain solution {sol} fails {inst}")
         sols.append(sol)

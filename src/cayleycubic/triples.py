@@ -248,12 +248,17 @@ class SolutionGraph:
             lines.append(f'  "{name}"{mark};')
         for i, j, k in self.edges:
             lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{COMPONENT_NAMES[k]}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines.append("}\n")
+        return "\n".join(lines)
 
 
 def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
-    """Breadth-first conjugation closure of seed among triples with max <= bound."""
+    """Breadth-first conjugation closure of seed among triples with max <= bound.
+
+    Each vertex's moves are computed once, when it leaves the queue; edges
+    (at their smaller end) and frontier vertices are recorded as triples and
+    renumbered after the sort, which keeps v < w exactly when i < j.
+    """
     _require_solution(seed)
     start = tuple(sorted(seed.components))
     if bound < max(start):
@@ -261,24 +266,21 @@ def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
     s = seed.s
     seen = {start}
     queue = deque([start])
+    labels: dict[tuple, int] = {}
+    frontier = set()
     while queue:
         cur = queue.popleft()
-        for _, _, nxt in _integral_moves(s, cur):
-            if max(nxt) <= bound and nxt not in seen:
+        # moves come in component order, so the first label of an edge is its least
+        for comp, _, nxt in _integral_moves(s, cur):
+            if max(nxt) > bound:
+                frontier.add(cur)
+                continue
+            if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
+            if cur < nxt:
+                labels.setdefault((cur, nxt), comp)
     vertices = sorted(seen)
     index = {v: i for i, v in enumerate(vertices)}
-    labels: dict[tuple[int, int], int] = {}
-    frontier = set()
-    for v in vertices:
-        i = index[v]
-        for comp, _, w in _integral_moves(s, v):
-            if max(w) > bound:
-                frontier.add(i)
-                continue
-            j = index[w]
-            if i < j and ((i, j) not in labels or comp < labels[(i, j)]):
-                labels[(i, j)] = comp
-    edges = tuple(sorted((i, j, k) for (i, j), k in labels.items()))
-    return SolutionGraph(s, bound, tuple(vertices), edges, tuple(sorted(frontier)))
+    edges = tuple(sorted((index[v], index[w], k) for (v, w), k in labels.items()))
+    return SolutionGraph(s, bound, tuple(vertices), edges, tuple(sorted(index[v] for v in frontier)))

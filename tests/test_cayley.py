@@ -1,4 +1,5 @@
 import json
+from collections import deque
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cayleycubic import (
     NonIntegralFamilyError,
     NotASolutionError,
+    SolutionGraph,
     Triple,
     base_value,
     cayley_value,
@@ -23,7 +25,7 @@ from cayleycubic import (
     scaled_cheb_t,
     solution_graph,
 )
-from cayleycubic.triples import _conjugate
+from cayleycubic.triples import _conjugate, _integral_moves
 
 
 def conjugate_roots(s, y, z):
@@ -323,6 +325,61 @@ def test_graph_frontier_marked_in_dot():
 def test_seed_must_solve():
     with pytest.raises(NotASolutionError):
         solution_graph(Triple(3, 1, 2, 3), 100)
+
+
+def two_pass_solution_graph(seed, bound):
+    """Reference for solution_graph: a BFS for the vertex set, then a second
+    pass over the sorted vertices that recomputes every vertex's moves for
+    the edges and the frontier."""
+    start = tuple(sorted(seed.components))
+    s = seed.s
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for _, _, nxt in _integral_moves(s, cur):
+            if max(nxt) <= bound and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    vertices = sorted(seen)
+    index = {v: i for i, v in enumerate(vertices)}
+    labels = {}
+    frontier = set()
+    for v in vertices:
+        i = index[v]
+        for comp, _, w in _integral_moves(s, v):
+            if max(w) > bound:
+                frontier.add(i)
+                continue
+            j = index[w]
+            if i < j and ((i, j) not in labels or comp < labels[(i, j)]):
+                labels[(i, j)] = comp
+    edges = tuple(sorted((i, j, k) for (i, j), k in labels.items()))
+    return SolutionGraph(s, bound, tuple(vertices), edges, tuple(sorted(frontier)))
+
+
+@given(
+    s=st.integers(min_value=1, max_value=6),
+    mult=st.integers(min_value=3, max_value=8),
+    n=st.integers(min_value=1, max_value=30),
+    m=st.integers(min_value=1, max_value=30),
+    extra_digits=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_solution_graph_matches_two_pass_oracle(s, mult, n, m, extra_digits):
+    assume(s * mult % 2 == 0)
+    seed = family_triple(s, s * mult // 2, n, m)
+    bound = max(seed.components) * 10**extra_digits
+    g = solution_graph(seed, bound)
+    ref = two_pass_solution_graph(seed, bound)
+    assert g == ref
+    assert g.to_json() == ref.to_json()
+    assert g.to_dot() == ref.to_dot()
+
+
+def test_solution_graph_matches_two_pass_oracle_on_non_chain_seeds():
+    for seed, bound in ((Triple(12, 13, 15, 20), 10**6), (Triple(24, 26, 51, 74), 10**4), (Triple(7, 3, 3, 7), 50)):
+        assert solution_graph(seed, bound) == two_pass_solution_graph(seed, bound)
 
 
 def test_s1_ordering_invariant(s1_solutions_2000):

@@ -185,6 +185,23 @@ def test_pell_one_text(capsys):
     assert capsys.readouterr().out == "6,1\n21,4\n78,15\n"
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "1"])
+def test_pell_one_checks_the_base_for_any_count(count, capsys):
+    # 3 does not divide 2*4: refused even when no member is asked for
+    with pytest.raises(SystemExit) as exc:
+        run(["pell-one", "--s", "3", "--y", "4", "--count", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not divide" in captured.err
+
+
+def test_pell_one_count_zero_on_a_valid_base(capsys):
+    code = run(["pell-one", "--s", "2", "--y", "4", "--count", "0", "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_pell_two_payload(capsys):
     code = run(["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", "3"])
     blob = json.loads(capsys.readouterr().out)
@@ -345,6 +362,35 @@ def test_markov_tree_dot(capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph ")
     assert '"1,1,2" -> "1,2,5";' in out
+
+
+def test_markov_tree_budget_flag(capsys):
+    for fmt in ("json", "dot"):
+        code = run(["markov-tree", "--depth", "5", "--budget", "16", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "budget" in captured.err
+    code = run(["markov-tree", "--depth", "5", "--budget", "17"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["triples"]) == 17
+
+
+def test_markov_tree_budget_env(capsys, monkeypatch):
+    from cayleycubic import markov
+
+    def no_moves(*args):
+        raise AssertionError("a refused tree must not make a move")
+
+    monkeypatch.setenv("CAYLEY_BUDGET", "8")
+    with monkeypatch.context() as m:
+        m.setattr(markov, "_flip", no_moves)
+        for depth in ("5", "64"):
+            code = run(["markov-tree", "--depth", depth, "--format", "dot"])
+            assert code == 1
+            assert "budget" in capsys.readouterr().err
+    monkeypatch.setenv("CAYLEY_BUDGET", "9")
+    assert run(["markov-tree", "--depth", "4"]) == 0
 
 
 def test_continuant_kinds(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from cayleycubic import (
     MAX_TREE_DEPTH,
+    BudgetExceededError,
     InvariantError,
     NotASolutionError,
     continuant,
@@ -83,6 +84,109 @@ def test_markov_tree_dot():
     assert '"1,1,2" -> "1,2,5";' in dot
 
 
+def neighbor_bfs_levels(depth):
+    """Reference for the tree: a markov_neighbor call per move, so each
+    triple is checked on the way in and on the way out of every move."""
+    root = (1, 1, 1)
+    seen = {root}
+    parents = {}
+    level = [root]
+    for _ in range(depth):
+        nxt = []
+        for t in level:
+            for i in range(3):
+                w = tuple(sorted(markov_neighbor(t, i)))
+                if w not in seen:
+                    seen.add(w)
+                    parents[w] = t
+                    nxt.append(w)
+        level = sorted(nxt)
+    return seen, parents
+
+
+def reference_tree_dot(depth):
+    """Reference for markov_tree_dot: every name formatted where it is used."""
+    seen, parents = neighbor_bfs_levels(depth)
+    lines = ["digraph markov {"]
+    for t in sorted(seen):
+        lines.append('  "{},{},{}";'.format(*t))
+    for child in sorted(parents):
+        parent = parents[child]
+        lines.append('  "{},{},{}" -> "{},{},{}";'.format(*parent, *child))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_markov_tree_matches_neighbor_bfs(depth):
+    seen, _ = neighbor_bfs_levels(depth)
+    assert markov_tree(depth) == sorted(seen)
+    assert markov_tree_dot(depth) == reference_tree_dot(depth)
+
+
+def test_markov_tree_size_closed_form():
+    # the budget plans 2**(d-1) + 1 triples for depth d >= 1
+    assert len(markov_tree(0)) == 1
+    for d in range(1, 13):
+        assert len(markov_tree(d)) == 2 ** (d - 1) + 1
+        assert len(markov_tree(d, budget=2 ** (d - 1) + 1)) == 2 ** (d - 1) + 1
+        with pytest.raises(BudgetExceededError):
+            markov_tree(d, budget=2 ** (d - 1))
+
+
+def test_markov_tree_checks_each_new_triple_once(monkeypatch):
+    calls = []
+
+    def counting(x, y, z):
+        calls.append((x, y, z))
+        return markov_value(x, y, z)
+
+    monkeypatch.setattr(mk, "markov_value", counting)
+    tree = markov_tree(10)
+    # every triple but the root (1, 1, 1), each exactly once
+    assert sorted(calls) == tree[1:]
+
+
+def test_markov_tree_raises_on_a_bad_new_triple(monkeypatch):
+    # a value test that rejects one triple deep in the tree
+    monkeypatch.setattr(mk, "markov_value", lambda x, y, z: 1 if (x, y, z) == (2, 29, 169) else 0)
+    assert len(markov_tree(3)) == 5
+    with pytest.raises(InvariantError):
+        markov_tree(4)
+    with pytest.raises(InvariantError):
+        markov_tree_dot(4)
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 0), (1, -1, -1)])
+def test_markov_tree_raises_on_a_non_positive_component(monkeypatch, bad):
+    # both solve the equation; only the positivity test rejects them
+    assert markov_value(*bad) == 0
+    monkeypatch.setattr(mk, "_flip", lambda t, i: bad)
+    with pytest.raises(InvariantError):
+        markov_tree(1)
+
+
+def test_markov_tree_budget():
+    assert markov_tree_dot(5, budget=17) == markov_tree_dot(5)
+    with pytest.raises(BudgetExceededError):
+        markov_tree_dot(5, budget=16)
+    assert markov_tree(0, budget=1) == [(1, 1, 1)]
+    with pytest.raises(BudgetExceededError):
+        markov_tree(0, budget=0)
+
+
+def test_markov_tree_refusal_does_no_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a refused tree must not make a move")
+
+    monkeypatch.setattr(mk, "_flip", fail)
+    monkeypatch.setattr(mk, "markov_value", fail)
+    with pytest.raises(BudgetExceededError):
+        markov_tree(MAX_TREE_DEPTH, budget=10**6)
+    with pytest.raises(BudgetExceededError):
+        markov_tree_dot(20, budget=2**19)
+
+
 def test_continuant_values():
     assert continuant(()) == 1
     assert continuant((7,)) == 7
@@ -151,6 +255,14 @@ def test_trace_is_power_ratio():
     assert count == 90
 
 
+def test_power_sequence_checks_each_term(monkeypatch):
+    # a wrong multiplier keeps the first two (direct) terms and fails the third
+    monkeypatch.setattr(mk, "_cohn_trace", lambda a: 4)
+    assert continuant_power_sequence((1, 1), (2,), 2) == [1, 2]
+    with pytest.raises(InvariantError):
+        continuant_power_sequence((1, 1), (2,), 3)
+
+
 def test_power_sequence_validation():
     with pytest.raises(ValueError):
         continuant_power_sequence((1,), (2,), 3)
@@ -191,6 +303,67 @@ def test_ratio_identity_bounded_space():
                             assert lhs == rhs, (alpha, lam, rho)
                             count += 1
     assert count == 4410
+
+
+def test_one_entry_beta_has_interior_zero():
+    # K'(alpha beta) = K(alpha)K'(beta) + K'(alpha)K''(beta); for a one-entry
+    # beta, K'(alpha b) = K(alpha) and K'(b) = 1, so K''(b) must count as 0
+    for alen in (2, 4):
+        for alpha in product((1, 2, 3), repeat=alen):
+            for b in (1, 2, 3, 7):
+                assert continuant_drop_last(alpha + (b,)) == continuant(alpha)
+                assert continuant_drop_last((b,)) == 1
+                lhs = continuant_drop_last(alpha + (b,))
+                assert lhs == continuant(alpha) * 1 + continuant_drop_last(alpha) * 0
+            for blen in (2, 3, 4):
+                for beta in product((1, 3), repeat=blen):
+                    lhs = continuant_drop_last(alpha + beta)
+                    rhs = continuant(alpha) * continuant_drop_last(beta)
+                    rhs += continuant_drop_last(alpha) * continuant_interior(beta)
+                    assert lhs == rhs
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_overlap_search_pairs_agree_with_direct_continuants(monkeypatch, shift):
+    # the search reports nothing on its own; a trace patched to
+    # 2*(K(alpha) + shift*K'(alpha)) makes it report the pairs for which the
+    # direct values satisfy the same test, and each must carry the direct
+    # K'(beta) and K'(alpha beta)
+    fake_trace = lambda a: 2 * (continuant(a) + shift * continuant_drop_last(a))
+    monkeypatch.setattr(mk, "_cohn_trace", fake_trace)
+    monkeypatch.setattr(
+        mk,
+        "continuant_power_sequence",
+        lambda a, b, n: [continuant_drop_last(b), continuant_drop_last(a + b)] + [0] * (n - 2),
+    )
+    report = sequence_overlap_search(3, 4, 3)
+    got = report.matches_s_ge_2 + report.s1_coincidences
+    want = [
+        (alpha, beta)
+        for alen in (2, 4)
+        for alpha in product((1, 2, 3), repeat=alen)
+        for blen in range(1, 5)
+        for beta in product((1, 2, 3), repeat=blen)
+        if 2 * continuant_drop_last(alpha + beta) == fake_trace(alpha) * continuant_drop_last(beta)
+    ]
+    assert len(want) > 0
+    assert sorted((tuple(f["alpha"]), tuple(f["beta"])) for f in got) == sorted(want)
+    for f in got:
+        assert f["s"] == continuant_drop_last(f["beta"])
+        assert f["b"] == continuant_drop_last(f["alpha"] + f["beta"])
+
+
+def test_overlap_search_checks_reported_pairs(monkeypatch):
+    # K''(2, 2) read as 9 makes tr = 14 and b = 7 at alpha = (2, 2), beta =
+    # (1, 1), so the pair is reported; its power sequence must then start 1, 7
+    real = mk.continuant_interior
+    monkeypatch.setattr(mk, "continuant_interior", lambda w: 9 if tuple(w) == (2, 2) else real(w))
+    monkeypatch.setattr(mk, "continuant_power_sequence", lambda a, b, n: [1, 8] + [0] * (n - 2))
+    with pytest.raises(InvariantError):
+        sequence_overlap_search(2, 2, 3)
+    monkeypatch.setattr(mk, "continuant_power_sequence", lambda a, b, n: [1, 7] + [0] * (n - 2))
+    report = sequence_overlap_search(2, 2, 3)
+    assert report.s1_coincidences[0] == {"alpha": [2, 2], "beta": [1, 1], "s": 1, "b": 7, "terms": [1, 7, 0]}
 
 
 def test_overlap_search_defaults_find_nothing():

@@ -13,6 +13,7 @@ from cayleycubic import (
     FORM_Z,
     DegeneratePellError,
     InvariantError,
+    NonIntegralFamilyError,
     PellInstance,
     PellSolution,
     family_one_instance,
@@ -117,6 +118,12 @@ def test_family_one_members_match_pointwise():
             want = [pell_family_one(s, y, n) for n in range(1, 31)]
             for count in (-1, 0, 1, 2, 3, 30):
                 assert pl.pell_family_one_members(s, y, count) == want[: max(count, 0)]
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1, 5])
+def test_family_one_members_check_the_base_for_any_count(count):
+    with pytest.raises(NonIntegralFamilyError):
+        pl.pell_family_one_members(3, 4, count)
 
 
 def test_family_one_members_check_every_member(monkeypatch):
