@@ -2,7 +2,8 @@
 
 Every number is printed in full decimal (no scientific notation, no
 truncation); exact rationals print as "num/den".  Exit codes: 0 on success,
-1 when a verification fails or a run is aborted, 2 on usage errors.
+1 when a verification fails, a run is aborted or the reader closes stdout
+early, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _cmd_pell_two(args) -> int:
 
 def _cmd_pell_oracle(args) -> int:
     inst = pl.PellInstance(args.d, args.rhs, args.form)
-    sols = pl.pell_oracle(inst, args.bound, include_zero=args.include_zero, workers=args.workers)
+    sols = pl.pell_oracle(inst, args.bound, include_zero=args.include_zero)
     payload = {
         "d": inst.d,
         "rhs": inst.rhs,
@@ -184,7 +185,7 @@ def _cmd_pell_oracle(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    sols = sr.enumerate_solutions(args.s, args.bound, budget=_budget(args), workers=args.workers)
+    sols = sr.enumerate_solutions(args.s, args.bound, budget=_budget(args))
     if args.format == "csv":
         print(sr.triples_to_csv(sols), end="")
     else:
@@ -193,7 +194,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    rows = sr.classify(args.s, args.bound, budget=_budget(args), workers=args.workers)
+    rows = sr.classify(args.s, args.bound, budget=_budget(args))
     if args.format == "csv":
         print(sr.classifications_to_csv(rows), end="")
     else:
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=(pl.FORM_Z, pl.FORM_A), default=pl.FORM_Z)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--include-zero", action="store_true", help="keep a = 0 solutions")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="ignored: scans run in one process")
     fmt(p, ("json", "text"), "json")
     p.set_defaults(func=_cmd_pell_oracle)
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="cap on quadratic solves (env CAYLEY_BUDGET)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="ignored: scans run in one process")
     fmt(p, ("jsonl", "csv"), "jsonl")
     p.set_defaults(func=_cmd_search)
 
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="cap on quadratic solves (env CAYLEY_BUDGET)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="ignored: scans run in one process")
     fmt(p, ("jsonl", "csv"), "jsonl")
     p.set_defaults(func=_cmd_classify)
 
@@ -360,13 +361,6 @@ def run(argv: list[str] | None = None) -> int:
         except KeyboardInterrupt:
             print("error: interrupted", file=sys.stderr)
             return 1
-        except Exception as exc:
-            # imported here: only a started pool raises it, and the import (with logging) slows start-up
-            from concurrent.futures import BrokenExecutor
-            if not isinstance(exc, BrokenExecutor):
-                raise
-            print(f"error: worker pool failed: {exc}", file=sys.stderr)
-            return 1
         return 0
     finally:
         if previous is not None:
@@ -374,4 +368,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a pipe buffers stdout: a closed one raises here, in the try
+    except BrokenPipeError:
+        # the reader stopped early (| head): exit quietly, with stdout on devnull so
+        # that the flush at exit cannot raise again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

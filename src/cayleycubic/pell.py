@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
-from ._spans import map_spans
 from .errors import DegeneratePellError, InvariantError
 from .sequences import family_multiplier, scaled_cheb_t, scaled_cheb_u
 
@@ -181,7 +180,6 @@ def pell_oracle(
     bound: int,
     *,
     include_zero: bool = False,
-    workers: int = 1,
 ) -> list[PellSolution]:
     """All solutions with 1 <= z <= bound, ascending in z; a = 0 only with include_zero.
 
@@ -193,8 +191,8 @@ def pell_oracle(
     [sqrt|N|, sqrt|N|*eps).  Both coordinates grow with gamma there, so one scan
     of the bounded coordinate (X <= top = bound, or W <= top = g*bound) below its
     value at sqrt|N|*eps finds every gamma, and multiplying by eps while it stays
-    <= top gives the rest.  The direct scan of z = 1..bound, over `workers`
-    processes, runs instead when that scan would reach bound, or when
+    <= top gives the rest.  The direct scan of z = 1..bound runs instead, in
+    this process, when that scan would reach bound, or when
     x1 > (top+1)*(isqrt(f)+1), where the expansion of sqrt(f) stops.
     """
     if bound < 1:
@@ -218,7 +216,7 @@ def pell_oracle(
         else:
             c = isqrt(y1 * y1 * n - 1) if n > 0 else isqrt((-n * x1 * x1 - 1) // f)
     if c >= bound:
-        rows = map_spans(_oracle_range, (d, n, form, include_zero), bound, workers)
+        rows = _oracle_range(d, n, form, include_zero, 1, bound)
     else:
         rows = []
         for u, v in _oracle_range(f, n, form, True, 0, c):

@@ -5,9 +5,10 @@ quadratic in the largest one.  It has a rational root only when
 (a^2 - s^2)(b^2 - s^2) is a square, that is when both factors lie in the
 same square class f (their squarefree part), so for each a only the b with
 b^2 - s^2 = +-f*w^2 are visited: about B*log(B)^2 candidates for a bound B
-instead of the B^2/2 pairs of the (a, b) grid.  The search stays exhaustive.
-Classification then connects the enumerated solutions by conjugation moves
-and tags each one.
+instead of the B^2/2 pairs of the (a, b) grid.  The search stays exhaustive
+and runs in one process: the work per a falls off like B/a, so equal spans
+of a never split it.  Classification then connects the enumerated solutions
+by conjugation moves and tags each one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._spans import map_spans
 from .errors import BudgetExceededError, InvariantError
 from .sequences import scaled_cheb_t
 from .triples import Triple, _conjugate, _conjugate_fraction, base_value, reduction_trace
@@ -51,8 +51,8 @@ def _squarefree_cores(n: int) -> list[int]:
     return core
 
 
-def _enumerate_range(s: int, bound: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """Solutions (a, b, c) with lo <= a <= hi, a <= b <= c <= bound.
+def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
+    """Solutions (a, b, c) with 1 <= a <= b <= c <= bound.
 
     The quadratic in c has the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).
     For a > s write a^2 - s^2 = f*g^2 with f squarefree: the product is a
@@ -71,8 +71,8 @@ def _enumerate_range(s: int, bound: int, lo: int, hi: int) -> list[tuple[int, in
     if s * s > 3 * bound * bound:
         return rows
     ss, bb = s * s, bound * bound
-    core = _squarefree_cores(hi + s)
-    for a in range(lo, hi + 1):
+    core = _squarefree_cores(bound + s)
+    for a in range(1, bound + 1):
         if a == s:
             rows.extend((s, b, b) for b in range(s, bound + 1))
             continue
@@ -101,14 +101,13 @@ def enumerate_solutions(
     bound: int,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> list[Triple]:
     """All solutions with 1 <= a <= b <= c <= bound, canonical and sorted.
 
     The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of
     the grid; the square-class scan visits far fewer, so the plan is an upper
     bound on the work.  If a budget is given and the plan exceeds it, the
-    call fails up front rather than part-way.
+    call fails up front rather than part-way.  The scan runs in this process.
     """
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
@@ -119,7 +118,7 @@ def enumerate_solutions(
         raise BudgetExceededError(
             f"enumeration at bound {bound} needs {planned} quadratic solves, budget is {budget}"
         )
-    rows = map_spans(_enumerate_range, (s, bound), bound, workers)
+    rows = _enumerate_range(s, bound)
     rows.sort()
     return [Triple(s, *r) for r in rows]
 
@@ -194,10 +193,9 @@ def classify(
     bound: int,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> list[Classification]:
     """Classify every solution within the bound; deterministic triple order."""
-    sols = enumerate_solutions(s, bound, budget=budget, workers=workers)
+    sols = enumerate_solutions(s, bound, budget=budget)
     verts = [t.components for t in sols]
     index = {v: i for i, v in enumerate(verts)}
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import os
 import subprocess
 import sys
 
@@ -293,26 +294,41 @@ def test_interrupt_exits_1(capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: interrupted\n"
-
-
-def test_broken_worker_pool_exits_1(capsys, monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
-    from cayleycubic import pell
-
-    def broken(*args, **kwargs):
-        raise BrokenProcessPool("a child process terminated abruptly")
-
-    monkeypatch.setattr(pell, "pell_oracle", broken)
-    code = run(["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30", "--workers", "2"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == "error: worker pool failed: a child process terminated abruptly\n"
-    # any other error still propagates
-    monkeypatch.setattr(pell, "pell_oracle", lambda *args, **kwargs: 1 // 0)
+    # any other error propagates
+    monkeypatch.setattr(search, "enumerate_solutions", lambda *args, **kwargs: 1 // 0)
     with pytest.raises(ZeroDivisionError):
-        run(["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30"])
+        run(["search", "--s", "1", "--bound", "10"])
+
+
+def test_broken_pipe_exits_1_quietly():
+    # a reader that closes the pipe early, as `| head` does, gets no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleycubic", "markov-tree", "--depth", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--s", "24", "--bound", "300"],
+        ["classify", "--s", "12", "--bound", "200", "--format", "csv"],
+        ["pell-oracle", "--d", "61", "--rhs", "36", "--bound", "2000"],
+    ],
+)
+def test_workers_flag_is_ignored(capsys, argv):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert run(argv + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_search_budget_env(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -141,10 +142,21 @@ def test_markov_tree_checks_each_new_triple_once(monkeypatch):
         calls.append((x, y, z))
         return markov_value(x, y, z)
 
+    flips = []
+
+    def counting_flip(t, i):
+        flips.append((t, i))
+        return flip(t, i)
+
+    flip = mk._flip
     monkeypatch.setattr(mk, "markov_value", counting)
+    monkeypatch.setattr(mk, "_flip", counting_flip)
     tree = markov_tree(10)
     # every triple but the root (1, 1, 1), each exactly once
     assert sorted(calls) == tree[1:]
+    # two moves for each of the 2**8 + 1 triples above the last level: moving
+    # the maximum of a sorted triple only leads back to its parent
+    assert len(flips) == 2 * (2**8 + 1)
 
 
 def test_markov_tree_raises_on_a_bad_new_triple(monkeypatch):
@@ -325,45 +337,36 @@ def test_one_entry_beta_has_interior_zero():
 
 @pytest.mark.parametrize("shift", [0, 1])
 def test_overlap_search_pairs_agree_with_direct_continuants(monkeypatch, shift):
-    # the search reports nothing on its own; a trace patched to
-    # 2*(K(alpha) + shift*K'(alpha)) makes it report the pairs for which the
-    # direct values satisfy the same test, and each must carry the direct
-    # K'(beta) and K'(alpha beta)
+    # no pair passes the real test; a trace patched to 2*(K(alpha) +
+    # shift*K'(alpha)) at one alpha at a time lets pairs pass, and the search
+    # must raise at the first beta whose direct values satisfy the same test
+    real_trace = mk._cohn_trace
     fake_trace = lambda a: 2 * (continuant(a) + shift * continuant_drop_last(a))
-    monkeypatch.setattr(mk, "_cohn_trace", fake_trace)
-    monkeypatch.setattr(
-        mk,
-        "continuant_power_sequence",
-        lambda a, b, n: [continuant_drop_last(b), continuant_drop_last(a + b)] + [0] * (n - 2),
-    )
-    report = sequence_overlap_search(3, 4, 3)
-    got = report.matches_s_ge_2 + report.s1_coincidences
-    want = [
-        (alpha, beta)
-        for alen in (2, 4)
-        for alpha in product((1, 2, 3), repeat=alen)
-        for blen in range(1, 5)
-        for beta in product((1, 2, 3), repeat=blen)
-        if 2 * continuant_drop_last(alpha + beta) == fake_trace(alpha) * continuant_drop_last(beta)
-    ]
-    assert len(want) > 0
-    assert sorted((tuple(f["alpha"]), tuple(f["beta"])) for f in got) == sorted(want)
-    for f in got:
-        assert f["s"] == continuant_drop_last(f["beta"])
-        assert f["b"] == continuant_drop_last(f["alpha"] + f["beta"])
+    betas = [beta for blen in range(1, 5) for beta in product((1, 2, 3), repeat=blen)]
+    raised = 0
+    for alpha in [a for alen in (2, 4) for a in product((1, 2, 3), repeat=alen)]:
+        monkeypatch.setattr(mk, "_cohn_trace", lambda a: fake_trace(a) if a == alpha else real_trace(a))
+        want = [
+            beta
+            for beta in betas
+            if 2 * continuant_drop_last(alpha + beta) == fake_trace(alpha) * continuant_drop_last(beta)
+        ]
+        if not want:
+            assert sequence_overlap_search(3, 4, 3).s1_coincidences == []
+            continue
+        with pytest.raises(InvariantError, match=re.escape(f"alpha={list(alpha)}, beta={list(want[0])} ")):
+            sequence_overlap_search(3, 4, 3)
+        raised += 1
+    assert raised > 0
 
 
 def test_overlap_search_checks_reported_pairs(monkeypatch):
     # K''(2, 2) read as 9 makes tr = 14 and b = 7 at alpha = (2, 2), beta =
-    # (1, 1), so the pair is reported; its power sequence must then start 1, 7
+    # (1, 1), so the pair passes the test, against the lemma: the search raises
     real = mk.continuant_interior
     monkeypatch.setattr(mk, "continuant_interior", lambda w: 9 if tuple(w) == (2, 2) else real(w))
-    monkeypatch.setattr(mk, "continuant_power_sequence", lambda a, b, n: [1, 8] + [0] * (n - 2))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=re.escape("alpha=[2, 2], beta=[1, 1] ")):
         sequence_overlap_search(2, 2, 3)
-    monkeypatch.setattr(mk, "continuant_power_sequence", lambda a, b, n: [1, 7] + [0] * (n - 2))
-    report = sequence_overlap_search(2, 2, 3)
-    assert report.s1_coincidences[0] == {"alpha": [2, 2], "beta": [1, 1], "s": 1, "b": 7, "terms": [1, 7, 0]}
 
 
 def test_overlap_search_defaults_find_nothing():

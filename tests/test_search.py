@@ -20,7 +20,6 @@ from cayleycubic import (
     triples_to_csv,
     triples_to_jsonl,
 )
-from cayleycubic import _spans
 from cayleycubic import search as sr
 
 
@@ -64,32 +63,6 @@ def test_enumerate_matches_grid_oracle(s, bound):
 )
 def test_enumerate_pinned_against_grid_oracle(s, bound):
     assert [t.components for t in enumerate_solutions(s, bound)] == _grid_enumerate(s, bound)
-
-
-@given(
-    s=st.integers(1, 40),
-    bound=st.integers(1, 300),
-    cuts=st.sets(st.integers(1, 299), max_size=6),
-)
-@settings(max_examples=40, deadline=None)
-def test_enumerate_spans_concatenate(s, bound, cuts):
-    # worker spans are contiguous ranges of a; together they must give the
-    # single-span rows exactly, in order
-    edges = [0] + sorted(c for c in cuts if c < bound) + [bound]
-    parts = [sr._enumerate_range(s, bound, lo + 1, hi) for lo, hi in zip(edges, edges[1:])]
-    assert [r for part in parts for r in part] == sr._enumerate_range(s, bound, 1, bound)
-
-
-def test_map_spans_caps_workers_at_cpu_count(monkeypatch):
-    calls = []
-
-    def fn(tag, lo, hi):
-        calls.append((tag, lo, hi))
-        return [lo, hi]
-
-    monkeypatch.setattr(_spans.os, "cpu_count", lambda: 1)
-    assert _spans.map_spans(fn, ("x",), 500, 64) == [1, 500]
-    assert calls == [("x", 1, 500)]
 
 
 def test_enumerate_small_s5():
@@ -139,11 +112,6 @@ def test_enumerate_is_sound_and_deterministic(s1_solutions_2000):
     assert len(set(comps)) == len(comps)
     again = enumerate_solutions(1, 2000)
     assert [t.components for t in again] == comps
-
-
-def test_enumerate_worker_agreement():
-    assert enumerate_solutions(1, 300, workers=3) == enumerate_solutions(1, 300)
-    assert classify(24, 80, workers=2) == classify(24, 80)
 
 
 def test_enumerate_budget():

@@ -12,6 +12,7 @@ from cayleycubic import (
     scaled_cheb_t,
     scaled_cheb_u,
 )
+from cayleycubic import sequences as sq
 
 
 def test_lucas_u_fibonacci():
@@ -145,6 +146,14 @@ def test_scaled_chain_rejects_non_integral():
         scaled_cheb_t(4, 5, 3)
     with pytest.raises(NonIntegralFamilyError):
         scaled_cheb_u(9, 2, 1)
+
+
+def test_caches_are_bounded():
+    fns = (lucas_u, lucas_v, cheb_t, cheb_u, scaled_cheb_t, scaled_cheb_u)
+    assert all(f.cache_info().maxsize == sq.CACHE_SIZE for f in fns)
+    for n in range(sq.CACHE_SIZE + 10):
+        lucas_u(1, 1, n)
+    assert lucas_u.cache_info().currsize == sq.CACHE_SIZE
 
 
 def test_memoized_calls_are_stable():
