@@ -12,11 +12,13 @@ where one is returned.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .errors import NotASolutionError
+from .errors import InvariantError, NotASolutionError
 from .sequences import scaled_cheb_t
 
 __all__ = [
@@ -237,11 +239,18 @@ class SolutionGraph:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        """json.dumps(self.as_dict()), formatting each distinct component once."""
+        text = {x: str(x) for x in set().union(*self.vertices)}
+        vertices = ", ".join(f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in self.vertices)
+        return (
+            f'{{"s": {self.s}, "bound": {self.bound}, "vertices": [{vertices}], '
+            f'"edges": {json.dumps(self.edges)}, "frontier": {json.dumps(self.frontier)}}}'
+        )
 
     def to_dot(self) -> str:
         lines = ["graph cayley {"]
-        names = ["{},{},{}".format(*v) for v in self.vertices]
+        text = {x: str(x) for x in set().union(*self.vertices)}
+        names = [f"{text[a]},{text[b]},{text[c]}" for a, b, c in self.vertices]
         frontier = set(self.frontier)
         for i, name in enumerate(names):
             mark = ' [peripheries=2]' if i in frontier else ""
@@ -252,11 +261,41 @@ class SolutionGraph:
         return "\n".join(lines)
 
 
-def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
-    """Breadth-first conjugation closure of seed among triples with max <= bound.
+def _chain_values(s: int, p: int, bound: int) -> list[int]:
+    """X_0 = s, X_1 = p, ..., X_N of the chain at base (s, p), with X_N <= bound < X_{N+1}."""
+    mult = 2 * p // s
+    xs = [s, p]
+    while xs[-1] <= bound:
+        xs.append(mult * xs[-1] - xs[-2])
+    xs.pop()
+    return xs
 
-    Each vertex's moves are computed once, when it leaves the queue; edges
-    (at their smaller end) and frontier vertices are recorded as triples and
+
+def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
+    """Conjugation closure of seed among triples with max <= bound.
+
+    Chain seeds, whose reduction ends at (s, p, p) with p > s and s | 2p, are
+    read off in index space.  The chain X_0 = s, X_1 = p,
+    X_{k+1} = (2p/s) X_k - X_{k-1} strictly increases (2p/s >= 3); let
+    X_N <= bound < X_{N+1}.  The component is exactly the triples
+    (X_i, X_j, X_{i+j}) over coprime 0 <= i <= j with i + j <= N:
+
+    - by 2 X_a X_b / s = X_{a+b} + X_{|a-b|}, the three moves of (i, j) give
+      the pairs (j, i+j), (i, i+j) and (|i-j|, min(i, j)), so every move keeps
+      the gcd and the set is closed under the moves that stay in bound;
+    - the descent of a coprime pair is the subtractive Euclid path down to
+      (0, 1), the terminal (s, p, p); its maximal index only falls, so the
+      path stays in bound and, read backwards, reaches the pair.
+
+    Seeds of a base X_g with g > 1 reduce to (s, X_g, X_g) and so are chain
+    seeds of that base.  Values grow with the index, so the pairs in
+    lexicographic order are the vertices in order; (i, j) moves up to
+    (j, i+j) by component 0 and, when 0 < i < j, to (i, i+j) by component 1,
+    and it is on the frontier exactly when i + 2j > N.
+
+    Every other seed gets a breadth-first search in value space.  Each
+    vertex's moves are computed once, when it leaves the queue; edges (at
+    their smaller end) and frontier vertices are recorded as triples and
     renumbered after the sort, which keeps v < w exactly when i < j.
     """
     _require_solution(seed)
@@ -264,6 +303,27 @@ def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
     if bound < max(start):
         raise ValueError("bound must cover the seed's maximal component")
     s = seed.s
+    low, p, high = reduction_trace(seed)[-1].components
+    if low == s < p == high and 2 * p % s == 0:
+        xs = _chain_values(s, p, bound)
+        top = len(xs) - 1
+        pairs = [
+            (i, j) for i in range(top // 2 + 1) for j in range(max(i, 1), top - i + 1) if gcd(i, j) == 1
+        ]
+        index = {pair: k for k, pair in enumerate(pairs)}
+        vertices = tuple((xs[i], xs[j], xs[i + j]) for i, j in pairs)
+        edges = []
+        for k, (i, j) in enumerate(pairs):
+            # (i, i+j) sorts before (j, i+j), so the edges come out sorted
+            if 0 < i < j and 2 * i + j <= top:
+                edges.append((k, index[i, i + j], 1))
+            if i + 2 * j <= top:
+                edges.append((k, index[j, i + j], 0))
+        at = bisect_left(vertices, start)
+        if at == len(vertices) or vertices[at] != start:
+            raise InvariantError(f"seed {start} is not in the index-space component of base ({s}, {p})")
+        frontier = tuple(k for k, (i, j) in enumerate(pairs) if i + 2 * j > top)
+        return SolutionGraph(s, bound, vertices, tuple(edges), frontier)
     seen = {start}
     queue = deque([start])
     labels: dict[tuple, int] = {}

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayleycubic import (
+    InvariantError,
     NonIntegralFamilyError,
     NotASolutionError,
     SolutionGraph,
@@ -25,6 +26,7 @@ from cayleycubic import (
     scaled_cheb_t,
     solution_graph,
 )
+from cayleycubic import triples
 from cayleycubic.triples import _conjugate, _integral_moves
 
 
@@ -358,28 +360,127 @@ def two_pass_solution_graph(seed, bound):
     return SolutionGraph(s, bound, tuple(vertices), edges, tuple(sorted(frontier)))
 
 
-@given(
-    s=st.integers(min_value=1, max_value=6),
-    mult=st.integers(min_value=3, max_value=8),
-    n=st.integers(min_value=1, max_value=30),
-    m=st.integers(min_value=1, max_value=30),
-    extra_digits=st.integers(min_value=0, max_value=40),
-)
-@settings(max_examples=60, deadline=None)
-def test_solution_graph_matches_two_pass_oracle(s, mult, n, m, extra_digits):
-    assume(s * mult % 2 == 0)
-    seed = family_triple(s, s * mult // 2, n, m)
-    bound = max(seed.components) * 10**extra_digits
+def dot_oracle(g):
+    """The DOT writer as it was before it formatted each distinct integer once."""
+    lines = ["graph cayley {"]
+    names = ["{},{},{}".format(*v) for v in g.vertices]
+    frontier = set(g.frontier)
+    for i, name in enumerate(names):
+        mark = " [peripheries=2]" if i in frontier else ""
+        lines.append(f'  "{name}"{mark};')
+    for i, j, k in g.edges:
+        lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{"abc"[k]}"];')
+    lines.append("}\n")
+    return "\n".join(lines)
+
+
+def assert_matches_oracle(seed, bound):
     g = solution_graph(seed, bound)
     ref = two_pass_solution_graph(seed, bound)
     assert g == ref
-    assert g.to_json() == ref.to_json()
-    assert g.to_dot() == ref.to_dot()
+    assert g.to_json() == json.dumps(ref.as_dict())
+    assert g.to_dot() == dot_oracle(ref)
 
 
-def test_solution_graph_matches_two_pass_oracle_on_non_chain_seeds():
-    for seed, bound in ((Triple(12, 13, 15, 20), 10**6), (Triple(24, 26, 51, 74), 10**4), (Triple(7, 3, 3, 7), 50)):
-        assert solution_graph(seed, bound) == two_pass_solution_graph(seed, bound)
+@given(
+    s=st.integers(min_value=1, max_value=6),
+    mult=st.integers(min_value=3, max_value=8),
+    n=st.integers(min_value=0, max_value=30),
+    m=st.integers(min_value=1, max_value=30),
+    scale=st.integers(min_value=1, max_value=3),
+    extra=st.integers(min_value=0, max_value=12),
+    where=st.sampled_from(["at", "below", "between"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_solution_graph_matches_two_pass_oracle(s, mult, n, m, scale, extra, where):
+    # scale > 1 gives index gcd > 1 (the seed belongs to base X_scale); the
+    # bound sits at a chain value X_N, one below it, or between X_N and X_{N+1}
+    assume(s * mult % 2 == 0)
+    b = s * mult // 2
+    seed = family_triple(s, b, scale * n, scale * m)
+    top = scale * (n + m) + extra
+    x, nxt = scaled_cheb_t(s, b, top), scaled_cheb_t(s, b, top + 1)
+    bound = {"at": x, "below": x - 1, "between": (x + nxt) // 2}[where]
+    assume(bound >= max(seed.components))
+    assert_matches_oracle(seed, bound)
+
+
+@pytest.mark.parametrize(
+    "s, b, n, m",
+    [
+        (1, 5, 0, 7),  # n = 0: (s, X_m, X_m) is the base row of X_m
+        (2, 3, 0, 1),  # the terminal itself, multiplier 3 with even s
+        (2, 3, 4, 7),
+        (4, 6, 5, 2),
+        (1, 2, 6, 9),  # index gcd 3: base X_3 = 26
+        (3, 6, 4, 8),  # index gcd 4
+    ],
+)
+def test_solution_graph_chain_cases_match_oracle(s, b, n, m):
+    seed = family_triple(s, b, n, m)
+    for top in (n + m, n + m + 1, n + m + 5):
+        x = scaled_cheb_t(s, b, top)
+        assert_matches_oracle(seed, x)
+        if x - 1 >= max(seed.components):
+            assert_matches_oracle(seed, x - 1)
+
+
+def test_solution_graph_matches_two_pass_oracle_on_non_chain_seeds(monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("the index-space path ran for a seed outside any chain")
+
+    monkeypatch.setattr(triples, "_chain_values", no_chain)
+    for seed, bound in (
+        (Triple(12, 13, 15, 20), 10**6),  # terminal not base-shaped
+        (Triple(24, 26, 51, 74), 10**4),  # isolated
+        (Triple(7, 3, 3, 7), 50),  # base row with p < s
+        (Triple(3, 3, 4, 4), 10**5),  # base row with s not dividing 2p
+        (Triple(3, 3, 3, 3), 10),  # p = s: the chain is constant
+        (Triple(24, 24, 18, 18), 10**4),  # descends to (3, 18, 18), p < s
+    ):
+        assert_matches_oracle(seed, bound)
+
+
+def test_chain_graph_needs_no_conjugation_per_vertex(monkeypatch):
+    seed = family_triple(2, 4, 100, 151)
+    steps = len(reduction_trace(seed))
+    calls = 0
+    conjugate = triples._conjugate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return conjugate(*args)
+
+    monkeypatch.setattr(triples, "_conjugate", counted)
+    g = solution_graph(seed, 10**300)
+    assert len(g.vertices) == 41846
+    assert calls <= steps + 3
+
+
+def test_chain_graph_checks_the_seed_is_a_vertex(monkeypatch):
+    chain_values = triples._chain_values
+    # the values of another chain: the seed's component is not among them
+    monkeypatch.setattr(triples, "_chain_values", lambda s, p, bound: chain_values(s, p + s, bound))
+    with pytest.raises(InvariantError, match="not in the index-space component"):
+        solution_graph(family_triple(1, 5, 3, 4), 10**20)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        solution_graph(family_triple(2, 4, 10, 13), 10**40),
+        solution_graph(family_triple(1, 5, 0, 1), 10**30),
+        solution_graph(Triple(3, 3, 6, 6), 300),
+        solution_graph(Triple(12, 13, 15, 20), 100),  # empty frontier
+        solution_graph(Triple(7, 3, 3, 7), 1000),  # one vertex
+        solution_graph(Triple(3, 3, 4, 4), 10**5),
+        SolutionGraph(5, 7, (), (), ()),
+    ],
+)
+def test_writers_match_their_oracles(g):
+    assert g.to_json() == json.dumps(g.as_dict())
+    assert g.to_dot() == dot_oracle(g)
 
 
 def test_s1_ordering_invariant(s1_solutions_2000):
