@@ -227,7 +227,7 @@ def _cmd_continuant(args) -> int:
 
 
 def _cmd_r_match(args) -> int:
-    report = mk.sequence_overlap_search(args.max_entry, args.max_block, args.terms)
+    report = mk.sequence_overlap_search(args.max_entry, args.max_block, args.terms, budget=_budget(args))
     print(json.dumps(report.as_dict()))
     return 0
 
@@ -336,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-entry", type=int, default=3)
     p.add_argument("--max-block", type=int, default=4)
     p.add_argument("--terms", type=int, default=6)
+    p.add_argument("--budget", type=int, default=None, help="cap on word-pair tests (env CAYLEY_BUDGET)")
     p.set_defaults(func=_cmd_r_match)
 
     return parser

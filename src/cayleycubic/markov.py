@@ -237,6 +237,7 @@ def sequence_overlap_search(
     max_entry: int = 3,
     max_block_len: int = 4,
     max_terms: int = 6,
+    budget: int | None = None,
 ) -> OverlapReport:
     """Check every word pair for a power sequence that replays a scaled Chebyshev chain.
 
@@ -254,12 +255,19 @@ def sequence_overlap_search(
     always empty.  The test still runs on every pair as exhaustive evidence,
     with K(alpha), K'(alpha), tr once per alpha and K'(beta), K''(beta) once
     per beta; a pair that passes it raises InvariantError.  The first two
-    terms agree by construction, so max_terms must be >= 3.
+    terms agree by construction, so max_terms must be >= 3.  The plan is one
+    test per (alpha, beta) pair; BudgetExceededError, before any continuant
+    is computed, when that exceeds `budget`.
     """
     if max_terms < 3:
         raise ValueError(f"max_terms must be >= 3, got {max_terms}")
     if max_entry < 1 or max_block_len < 2:
         raise ValueError("need max_entry >= 1 and max_block_len >= 2")
+    planned = sum(max_entry**alen for alen in range(2, max_block_len + 1, 2)) * sum(
+        max_entry**blen for blen in range(1, max_block_len + 1)
+    )
+    if budget is not None and planned > budget:
+        raise BudgetExceededError(f"r-match needs {planned} pair tests, budget is {budget}")
     entries = range(1, max_entry + 1)
     # (beta, K'(beta), K''(beta)) once per beta; K'' of a one-entry word is 0
     betas = [

@@ -8,13 +8,13 @@ b^2 - s^2 = +-f*w^2 are visited: about B*log(B)^2 candidates for a bound B
 instead of the B^2/2 pairs of the (a, b) grid.  The search stays exhaustive
 and runs in one process: the work per a falls off like B/a, so equal spans
 of a never split it.  Classification then connects the enumerated solutions
-by conjugation moves and tags each one.
+by conjugation moves and tags each one, in one pass over the sorted list:
+a solution's reduction parent is enumerated and sorts before it, so its
+family is one replay step from its parent's (see `classify`).
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from math import gcd, isqrt
 
 from .errors import BudgetExceededError, InvariantError
 from .sequences import scaled_cheb_t
-from .triples import Triple, _conjugate, _conjugate_fraction, base_value, reduction_trace
+from .triples import Triple, _require_solution, base_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -123,53 +123,69 @@ def enumerate_solutions(
     return [Triple(s, *r) for r in rows]
 
 
+def _terminal_state(t: Triple) -> tuple[int, list[tuple[int, int]]] | None:
+    """(p, [(value, chain index)] * 3) for a reduction terminal (s, p, p) with
+    s | 2p, the start of the index replay; None for any other terminal."""
+    p = base_value(t)
+    if p is None or (2 * p) % t.s:
+        return None
+    # the terminal is (X_0, X_1, X_1) = (s, p, p)
+    x0, x1, x2 = t.components
+    if x1 == x2 and x0 == t.s:
+        return p, [(x0, 0), (x1, 1), (x2, 1)]
+    return p, [(x2, 0), (x0, 1), (x1, 1)]
+
+
+def _replay_step(cur: list[tuple[int, int]], prev: Triple) -> list[tuple[int, int]]:
+    """The indexed components of `prev`, one reduction step above `cur`.
+
+    Walking a trace back up, the replaced component always sits at index
+    |i - j| and moves to i + j, where i, j are the indices of the two
+    untouched components; a step that breaks this raises InvariantError.
+    """
+    pc = Counter(prev.components)
+    cc = Counter(v for v, _ in cur)
+    added = list((pc - cc).elements())
+    removed = list((cc - pc).elements())
+    if len(added) != 1 or len(removed) != 1:
+        raise InvariantError(f"trace step to {prev} does not replace exactly one component")
+    v_new, v_old = added[0], removed[0]
+    pos = next(k for k, (v, _) in enumerate(cur) if v == v_old)
+    old_idx = cur[pos][1]
+    rest = cur[:pos] + cur[pos + 1 :]
+    (i1, i2) = (rest[0][1], rest[1][1])
+    if old_idx != abs(i1 - i2):
+        raise InvariantError(f"trace step to {prev} replaces index {old_idx}, not {abs(i1 - i2)}")
+    return rest + [(v_new, i1 + i2)]
+
+
+def _chain_family(p: int, cur: list[tuple[int, int]], t: Triple) -> tuple[int, int, int]:
+    """(p, n, m) of a finished replay, checked against the chain values."""
+    # _replay_step keeps the indices of the form {i, j, i + j}
+    n, m, top = sorted(idx for _, idx in cur)
+    expect = sorted(scaled_cheb_t(t.s, p, i) for i in (n, m, top))
+    if expect != sorted(t.components):
+        raise InvariantError(f"chain ({p}, {n}, {m}) gives {expect}, not {t.components}")
+    return (p, n, m)
+
+
 def family_membership(t: Triple) -> tuple[int, int, int] | None:
     """(b, n, m) such that t is a permutation of chain values (X_n, X_{n+m}, X_m).
 
     b is the base value of the triple's reduction terminal, and (n, m) are
     replayed from the trace (one index step per reduction step), so no grid
     search happens.  Returns None when the terminal is not base-shaped or
-    when its base value fails the s | 2b integrality gate.
+    when its base value fails the s | 2b integrality gate.  `classify` runs
+    the same replay one step per solution along reduction parents.
     """
     trace = reduction_trace(t)
-    term = trace[-1]
-    p = base_value(term)
-    if p is None:
+    state = _terminal_state(trace[-1])
+    if state is None:
         return None
-    s = t.s
-    if (2 * p) % s:
-        return None
-    # Terminal is (X_0, X_1, X_1) = (s, p, p).  Walking the trace back up,
-    # the replaced component always sits at index |i - j| and moves to i + j,
-    # where i, j are the indices of the two untouched components.
-    x0, x1, x2 = term.components
-    if x1 == x2 and x0 == s:
-        cur = [(x0, 0), (x1, 1), (x2, 1)]
-    else:
-        cur = [(x2, 0), (x0, 1), (x1, 1)]
+    p, cur = state
     for prev in reversed(trace[:-1]):
-        pc = Counter(prev.components)
-        cc = Counter(v for v, _ in cur)
-        added = list((pc - cc).elements())
-        removed = list((cc - pc).elements())
-        if len(added) != 1 or len(removed) != 1:
-            raise InvariantError(f"trace step to {prev} does not replace exactly one component")
-        v_new, v_old = added[0], removed[0]
-        pos = next(k for k, (v, _) in enumerate(cur) if v == v_old)
-        old_idx = cur[pos][1]
-        del cur[pos]
-        (i1, i2) = (cur[0][1], cur[1][1])
-        if old_idx != abs(i1 - i2):
-            raise InvariantError(
-                f"trace step to {prev} replaces index {old_idx}, not {abs(i1 - i2)}"
-            )
-        cur.append((v_new, i1 + i2))
-    # the check above keeps the indices of the form {i, j, i + j}
-    n, m, top = sorted(idx for _, idx in cur)
-    expect = sorted(scaled_cheb_t(s, p, i) for i in (n, m, top))
-    if expect != sorted(t.components):
-        raise InvariantError(f"chain ({p}, {n}, {m}) gives {expect}, not {t.components}")
-    return (p, n, m)
+        cur = _replay_step(cur, prev)
+    return _chain_family(p, cur, t)
 
 
 @dataclass(frozen=True)
@@ -194,12 +210,21 @@ def classify(
     *,
     budget: int | None = None,
 ) -> list[Classification]:
-    """Classify every solution within the bound; deterministic triple order."""
-    sols = enumerate_solutions(s, bound, budget=budget)
-    verts = [t.components for t in sols]
-    index = {v: i for i, v in enumerate(verts)}
+    """Classify every solution within the bound; deterministic triple order.
 
-    parent = list(range(len(verts)))
+    One pass over the sorted solutions: one divmod(2yz, s) per component
+    gives the conjugate, the union/find edge and the isolated and
+    frontier-limited tags.  The conjugate of the maximum is the move of
+    `reduction_trace` (ties give the same triple).  When it shrinks the
+    triple it lands on the reduction parent, which is enumerated (positive,
+    within the bound) and sorts earlier (one component got smaller), so each
+    solution extends its parent's family replay by one `_replay_step`, with
+    the checks of `family_membership`; one without such a move is a terminal.
+    """
+    sols = enumerate_solutions(s, bound, budget=budget)
+    index = {t.components: i for i, t in enumerate(sols)}
+
+    parent = list(range(len(sols)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -212,89 +237,99 @@ def classify(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    frontier = [False] * len(verts)
-    isolated = [True] * len(verts)
-    for i, v in enumerate(verts):
-        for k in range(3):
-            cv = _conjugate(s, v, k)
-            if cv is None or cv < 1:
-                continue
-            # a fixed point (cv == v[k]) is no move, but still not isolated
-            isolated[i] = False
-            if cv == v[k]:
-                continue
-            w = tuple(sorted(v[:k] + (cv,) + v[k + 1 :]))
-            if max(w) <= bound:
-                union(i, index[w])
-            else:
-                frontier[i] = True
-
-    roots = [find(i) for i in range(len(verts))]
-    component_of = {}
-    for i, r in enumerate(roots):
-        component_of.setdefault(r, i)
-
-    out = []
+    # replay state (p, indexed components) of each family member that is not
+    # a terminal; a terminal's state is rebuilt from the triple when needed
+    replays = {}
+    rows = []  # (tags, family, conjugates) per solution
     for i, t in enumerate(sols):
-        fam = family_membership(t)
+        _require_solution(t)
+        a, b, c = t.components
+        conjugates = []
+        isolated, frontier, up = True, False, None
+        # x is component k, y <= z the other two
+        for k, x, y, z in ((0, a, b, c), (1, b, a, c), (2, c, a, b)):
+            yz2 = 2 * y * z
+            q, r = divmod(yz2, s)
+            conjugates.append(Fraction(yz2 - s * x, s))
+            cv = q - x
+            if r or cv < 1:
+                continue
+            # a fixed point (cv == x) is no move, but still not isolated
+            isolated = False
+            if cv == x:
+                continue
+            if cv > bound:
+                frontier = True
+                continue
+            j = index[(cv, y, z) if cv <= y else (y, cv, z) if cv <= z else (y, z, cv)]
+            union(i, j)
+            if k == 2 and cv < c:
+                up = j
+        if up is None:
+            state = _terminal_state(t)
+        elif rows[up][1] is None:  # the parent is in no family
+            state = None
+        else:
+            p, cur = replays[up] if up in replays else _terminal_state(sols[up])
+            state = replays[i] = p, _replay_step(cur, t)
+        fam = None if state is None else _chain_family(*state, t)
         tags = []
         if base_value(t) is not None:
             tags.append("base")
         if fam is not None:
             tags.append("r-family")
-        if isolated[i]:
+        if isolated:
             tags.append("isolated")
-        if frontier[i]:
+        if frontier:
             tags.append("frontier-limited")
+        rows.append((tuple(tags), fam, tuple(conjugates)))
+
+    component_of = {}
+    out = []
+    for i, (t, (tags, fam, conjugates)) in enumerate(zip(sols, rows)):
         out.append(
             Classification(
                 triple=t,
-                tags=tuple(tags),
+                tags=tags,
                 family=fam,
-                component=component_of[roots[i]],
-                conjugates=tuple(_conjugate_fraction(s, verts[i], k) for k in range(3)),
+                component=component_of.setdefault(find(i), i),
+                conjugates=conjugates,
             )
         )
     return out
 
 
 def triples_to_csv(sols: list[Triple]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["s", "a", "b", "c"])
-    for t in sols:
-        w.writerow([t.s, t.a, t.b, t.c])
-    return buf.getvalue()
+    """CSV with a header, byte for byte what `csv.writer` writes (CRLF line ends)."""
+    return "s,a,b,c\r\n" + "".join(f"{t.s},{t.a},{t.b},{t.c}\r\n" for t in sols)
 
 
 def triples_to_jsonl(sols: list[Triple]) -> str:
-    lines = [json.dumps({"s": t.s, "triple": [t.a, t.b, t.c]}) for t in sols]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One JSON object per line, byte for byte what `json.dumps` writes."""
+    return "".join(f'{{"s": {t.s}, "triple": [{t.a}, {t.b}, {t.c}]}}\n' for t in sols)
 
 
 def classifications_to_csv(rows: list[Classification]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["s", "a", "b", "c", "tags", "conj_a", "conj_b", "conj_c"])
+    """CSV with a header, byte for byte what `csv.writer` writes: no field needs quoting."""
+    lines = ["s,a,b,c,tags,conj_a,conj_b,conj_c\r\n"]
     for r in rows:
-        a, b, c = r.triple.components
-        w.writerow([r.triple.s, a, b, c, "|".join(r.tags), *[str(f) for f in r.conjugates]])
-    return buf.getvalue()
+        t, (ca, cb, cc) = r.triple, r.conjugates
+        lines.append(f"{t.s},{t.a},{t.b},{t.c},{'|'.join(r.tags)},{ca},{cb},{cc}\r\n")
+    return "".join(lines)
 
 
 def classifications_to_jsonl(rows: list[Classification]) -> str:
+    """One JSON object per line, byte for byte what `json.dumps` writes."""
+    tag_json = {}  # at most 16 tag tuples
     lines = []
     for r in rows:
+        t, (ca, cb, cc) = r.triple, r.conjugates
+        tags = tag_json.get(r.tags)
+        if tags is None:
+            tags = tag_json[r.tags] = json.dumps(list(r.tags))
+        fam = "null" if r.family is None else "[{}, {}, {}]".format(*r.family)
         lines.append(
-            json.dumps(
-                {
-                    "s": r.triple.s,
-                    "triple": list(r.triple.components),
-                    "tags": list(r.tags),
-                    "family": list(r.family) if r.family is not None else None,
-                    "component": r.component,
-                    "conjugates": [str(f) for f in r.conjugates],
-                }
-            )
+            f'{{"s": {t.s}, "triple": [{t.a}, {t.b}, {t.c}], "tags": {tags}, "family": {fam}, '
+            f'"component": {r.component}, "conjugates": ["{ca}", "{cb}", "{cc}"]}}\n'
         )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(lines)

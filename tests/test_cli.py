@@ -437,6 +437,22 @@ def test_r_match_report(capsys):
     }
 
 
+def test_r_match_budget(capsys, monkeypatch):
+    # max entry 2, blocks up to 2: 4 alphas times 6 betas = 24 pair tests
+    argv = ["r-match", "--max-entry", "2", "--max-block", "2", "--terms", "3"]
+    assert run(argv + ["--budget", "23"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs 24 pair tests, budget is 23" in captured.err
+    assert run(argv + ["--budget", "24"]) == 0
+    assert json.loads(capsys.readouterr().out)["matches_s_ge_2"] == []
+    monkeypatch.setenv("CAYLEY_BUDGET", "23")
+    assert run(argv) == 1
+    assert "budget" in capsys.readouterr().err
+    monkeypatch.setenv("CAYLEY_BUDGET", "24")
+    assert run(argv) == 0
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run([])

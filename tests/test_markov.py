@@ -425,3 +425,23 @@ def test_overlap_search_validation():
         sequence_overlap_search(max_entry=0)
     with pytest.raises(ValueError):
         sequence_overlap_search(max_block_len=1)
+
+
+@pytest.mark.parametrize("max_entry, max_block_len", [(1, 2), (2, 2), (3, 3), (3, 4)])
+def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_entry, max_block_len):
+    # the plan is one test per (alpha, beta) pair, counted here word by word
+    entries = range(1, max_entry + 1)
+    alphas = sum(1 for alen in range(2, max_block_len + 1, 2) for _ in product(entries, repeat=alen))
+    betas = sum(1 for blen in range(1, max_block_len + 1) for _ in product(entries, repeat=blen))
+    plan = alphas * betas
+    assert sequence_overlap_search(max_entry, max_block_len, 3, budget=plan).as_dict() == (
+        sequence_overlap_search(max_entry, max_block_len, 3).as_dict()
+    )
+
+    def no_continuant(word):
+        raise AssertionError("a refused search must not compute a continuant")
+
+    for name in ("continuant", "continuant_drop_last", "continuant_interior", "_cohn_trace"):
+        monkeypatch.setattr(mk, name, no_continuant)
+    with pytest.raises(BudgetExceededError, match=f"needs {plan} pair tests, budget is {plan - 1}"):
+        sequence_overlap_search(max_entry, max_block_len, 3, budget=plan - 1)

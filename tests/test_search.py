@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from cayleycubic import (
     BudgetExceededError,
     InvariantError,
+    NotASolutionError,
     Triple,
     classifications_to_csv,
     classifications_to_jsonl,
@@ -21,6 +25,9 @@ from cayleycubic import (
     triples_to_jsonl,
 )
 from cayleycubic import search as sr
+from cayleycubic.cli import run
+from cayleycubic.search import TAG_ORDER, Classification
+from cayleycubic.triples import _conjugate, _conjugate_fraction, base_value
 
 
 def _grid_enumerate(s, bound):
@@ -292,3 +299,261 @@ def test_square_discriminants_at_scale(n):
     assert t.is_solution
     conj = conjugate_component(t, 2)
     assert conj == 2 * n * n - 1
+
+
+def _reference_classify(s, bound):
+    """Reference for classify: the per-triple post-pass, one family_membership
+    (one whole reduction trace) and three Fraction subtractions per solution."""
+    sols = enumerate_solutions(s, bound)
+    verts = [t.components for t in sols]
+    index = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    frontier = [False] * len(verts)
+    isolated = [True] * len(verts)
+    for i, v in enumerate(verts):
+        for k in range(3):
+            cv = _conjugate(s, v, k)
+            if cv is None or cv < 1:
+                continue
+            isolated[i] = False
+            if cv == v[k]:
+                continue
+            w = tuple(sorted(v[:k] + (cv,) + v[k + 1 :]))
+            if max(w) <= bound:
+                union(i, index[w])
+            else:
+                frontier[i] = True
+    roots = [find(i) for i in range(len(verts))]
+    component_of = {}
+    for i, r in enumerate(roots):
+        component_of.setdefault(r, i)
+    out = []
+    for i, t in enumerate(sols):
+        fam = family_membership(t)
+        tags = []
+        if base_value(t) is not None:
+            tags.append("base")
+        if fam is not None:
+            tags.append("r-family")
+        if isolated[i]:
+            tags.append("isolated")
+        if frontier[i]:
+            tags.append("frontier-limited")
+        out.append(
+            Classification(
+                triple=t,
+                tags=tuple(tags),
+                family=fam,
+                component=component_of[roots[i]],
+                conjugates=tuple(_conjugate_fraction(s, verts[i], k) for k in range(3)),
+            )
+        )
+    return out
+
+
+def _triples_csv_oracle(sols):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["s", "a", "b", "c"])
+    for t in sols:
+        w.writerow([t.s, t.a, t.b, t.c])
+    return buf.getvalue()
+
+
+def _triples_jsonl_oracle(sols):
+    lines = [json.dumps({"s": t.s, "triple": [t.a, t.b, t.c]}) for t in sols]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _classifications_csv_oracle(rows):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["s", "a", "b", "c", "tags", "conj_a", "conj_b", "conj_c"])
+    for r in rows:
+        a, b, c = r.triple.components
+        w.writerow([r.triple.s, a, b, c, "|".join(r.tags), *[str(f) for f in r.conjugates]])
+    return buf.getvalue()
+
+
+def _classifications_jsonl_oracle(rows):
+    lines = [
+        json.dumps(
+            {
+                "s": r.triple.s,
+                "triple": list(r.triple.components),
+                "tags": list(r.tags),
+                "family": list(r.family) if r.family is not None else None,
+                "component": r.component,
+                "conjugates": [str(f) for f in r.conjugates],
+            }
+        )
+        for r in rows
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _assert_same_text(got, want):
+    # report the first differing line: pytest's diff of two long strings takes minutes
+    for k, (g, w) in enumerate(zip(got.splitlines(True), want.splitlines(True))):
+        assert g == w, f"line {k}"
+    assert len(got) == len(want) and got == want
+
+
+def _assert_writers_match_oracles(sols, rows):
+    _assert_same_text(sr.triples_to_csv(sols), _triples_csv_oracle(sols))
+    _assert_same_text(sr.triples_to_jsonl(sols), _triples_jsonl_oracle(sols))
+    _assert_same_text(sr.classifications_to_csv(rows), _classifications_csv_oracle(rows))
+    _assert_same_text(sr.classifications_to_jsonl(rows), _classifications_jsonl_oracle(rows))
+
+
+@given(s=st.integers(1, 40), bound=st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+def test_classify_matches_reference(s, bound):
+    assert classify(s, bound) == _reference_classify(s, bound)
+
+
+@pytest.mark.parametrize("s", [1, 12, 24])
+@pytest.mark.parametrize("bound", [2000, 2013, 2020])
+def test_classify_matches_reference_at_scan_shapes(s, bound):
+    rows = classify(s, bound)
+    ref = _reference_classify(s, bound)
+    assert rows == ref
+    _assert_writers_match_oracles([r.triple for r in rows], rows)
+
+
+@pytest.mark.parametrize(
+    "s, bound, shapes",
+    [
+        # multiplier 2p/s = 1 (p = s/2) and 2 (p = s, a = b = c); a = b and b = c ties
+        (12, 40, [(6, 6, 12), (12, 12, 12), (12, 18, 18), (13, 15, 20)]),
+        (24, 80, [(12, 12, 24), (24, 24, 24), (3, 18, 18), (30, 30, 51), (24, 30, 30)]),
+        (2, 60, [(1, 1, 2), (2, 2, 2), (2, 3, 3)]),
+        (1, 60, [(1, 1, 1), (1, 2, 2), (2, 2, 7)]),
+        (6, 100, [(3, 3, 6), (6, 6, 6), (6, 9, 9), (9, 9, 21)]),
+    ],
+)
+def test_classify_matches_reference_on_bases_and_ties(s, bound, shapes):
+    rows = classify(s, bound)
+    assert rows == _reference_classify(s, bound)
+    comps = {r.triple.components for r in rows}
+    assert set(shapes) <= comps
+
+
+def test_classify_runs_no_trace_and_no_membership(monkeypatch):
+    calls = {"reduction_trace": 0, "family_membership": 0}
+
+    def counting(name):
+        real = getattr(sr, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(sr, name, counting(name))
+    rows = classify(1, 2020)
+    assert calls == {"reduction_trace": 0, "family_membership": 0}
+    assert len(rows) > 2020 and all(r.family is not None for r in rows)
+
+
+def test_classify_checks_every_triple_solves(monkeypatch):
+    real = sr.enumerate_solutions
+    monkeypatch.setattr(sr, "enumerate_solutions", lambda *a, **k: real(*a, **k) + [Triple(1, 60, 60, 61)])
+    with pytest.raises(NotASolutionError):
+        classify(1, 61)
+
+
+def _patch_replay_input(monkeypatch, when, triple):
+    real = sr._replay_step
+    monkeypatch.setattr(
+        sr, "_replay_step", lambda cur, prev: real(cur, Triple(1, *triple) if prev.components == when else prev)
+    )
+
+
+def test_classify_rejects_a_step_changing_two_components(monkeypatch):
+    # the first replay of classify(1, ...) goes from (1, 2, 2) to (2, 2, 7)
+    _patch_replay_input(monkeypatch, (2, 2, 7), (5, 6, 7))
+    with pytest.raises(InvariantError, match="exactly one component"):
+        classify(1, 100)
+
+
+def test_classify_rejects_a_step_at_the_wrong_index(monkeypatch):
+    # (2, 2, 7) = (X_1, X_1, X_2) on base (1, 2); its child (2, 7, 26) read as
+    # (2, 2, 1000) replaces X_2 where the replay needs index 0
+    _patch_replay_input(monkeypatch, (2, 7, 26), (2, 2, 1000))
+    with pytest.raises(InvariantError, match="replaces index 2, not 0"):
+        classify(1, 100)
+
+
+def test_classify_rejects_a_replay_off_the_chain(monkeypatch):
+    monkeypatch.setattr(sr, "scaled_cheb_t", lambda s, b, n: n + 1)
+    with pytest.raises(InvariantError, match="gives"):
+        classify(1, 10)
+
+
+def _hand_row(tags, family, conjugates, s=5, triple=(1, 1, 5), component=0):
+    return Classification(Triple(s, *triple), tags, family, component, conjugates)
+
+
+def test_writers_match_oracles_on_hand_rows():
+    conj = [
+        (Fraction(-24, 5), Fraction(-24, 5), Fraction(-23, 5)),  # negative, denominator > 1
+        (Fraction(7), Fraction(-3), Fraction(0)),  # denominator 1, negative and zero
+        (Fraction(577, 2), Fraction(328, 3), Fraction(73, 2)),
+    ]
+    every_tags = [combo for n in range(5) for combo in combinations(TAG_ORDER, n)]
+    assert len(every_tags) == 16
+    rows = [
+        _hand_row(tags, (2, 1, 2) if k % 2 else None, conj[k % 3], component=k)
+        for k, tags in enumerate(every_tags)
+    ]
+    _assert_writers_match_oracles([r.triple for r in rows], rows)
+    big = family_triple(1, 10**40, 1, 2)
+    _assert_writers_match_oracles([big], [_hand_row(("r-family",), (10**40, 1, 2), conj[1], 1, big.components, 7)])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5, 7, 12, 24, 30, 40, 100])
+def test_writers_match_oracles_on_classified_rows(s):
+    rows = classify(s, 300)
+    _assert_writers_match_oracles(enumerate_solutions(s, 300), rows)
+
+
+def test_writers_on_a_bound_without_solutions(capsys):
+    # 3 * 40**2 < 70**2: no solution at all
+    assert classify(70, 40) == [] and enumerate_solutions(70, 40) == []
+    _assert_writers_match_oracles([], [])
+    for cmd, fmt, want in (
+        ("search", "csv", "s,a,b,c\r\n"),
+        ("search", "jsonl", ""),
+        ("classify", "csv", "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n"),
+        ("classify", "jsonl", ""),
+    ):
+        assert run([cmd, "--s", "70", "--bound", "40", "--format", fmt]) == 0
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("s", [1, 12, 24])
+def test_cli_stdout_matches_oracle_writers(capsys, s):
+    sols, ref = enumerate_solutions(s, 300), _reference_classify(s, 300)
+    for cmd, fmt, want in (
+        ("search", "csv", _triples_csv_oracle(sols)),
+        ("search", "jsonl", _triples_jsonl_oracle(sols)),
+        ("classify", "csv", _classifications_csv_oracle(ref)),
+        ("classify", "jsonl", _classifications_jsonl_oracle(ref)),
+    ):
+        assert run([cmd, "--s", str(s), "--bound", "300", "--format", fmt]) == 0
+        _assert_same_text(capsys.readouterr().out, want)
