@@ -172,7 +172,7 @@ def _cmd_pell_two(args) -> int:
 
 def _cmd_pell_oracle(args) -> int:
     inst = pl.PellInstance(args.d, args.rhs, args.form)
-    sols = pl.pell_oracle(inst, args.bound, include_zero=args.include_zero)
+    sols = pl.pell_oracle(inst, args.bound, include_zero=args.include_zero, budget=_budget(args))
     payload = {
         "d": inst.d,
         "rhs": inst.rhs,
@@ -206,8 +206,7 @@ def _cmd_markov_tree(args) -> int:
     if args.format == "dot":
         print(mk.markov_tree_dot(args.depth, budget=_budget(args)), end="")
     else:
-        triples = mk.markov_tree(args.depth, budget=_budget(args))
-        print(json.dumps({"depth": args.depth, "triples": [list(t) for t in triples]}))
+        print(mk.markov_tree_json(args.depth, budget=_budget(args)))
     return 0
 
 
@@ -299,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=(pl.FORM_Z, pl.FORM_A), default=pl.FORM_Z)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--include-zero", action="store_true", help="keep a = 0 solutions")
+    p.add_argument("--budget", type=int, default=None, help="cap on scanned values (env CAYLEY_BUDGET)")
     p.add_argument("--workers", type=int, default=1, help="ignored: scans run in one process")
     fmt(p, ("json", "text"), "json")
     p.set_defaults(func=_cmd_pell_oracle)

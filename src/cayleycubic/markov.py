@@ -21,6 +21,7 @@ __all__ = [
     "markov_neighbor",
     "markov_tree",
     "markov_tree_dot",
+    "markov_tree_json",
     "continuant",
     "continuant_drop_last",
     "continuant_interior",
@@ -68,6 +69,15 @@ def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
 
 
 def _tree_levels(depth: int, budget: int | None):
+    """{triple: parent}, the root (1, 1, 1) mapped to None.
+
+    A sorted parent (a, b, c) has the sorted children (b, c, 3bc - a) and
+    (a, c, 3ac - b), one when a == b; moving c leads back.  The parent solves
+    the equation, so the moved component v is a root of X^2 - 3uc*X + u^2 + c^2
+    and the child (u, c, w) solves it exactly when v*w == u^2 + c^2 (Vieta):
+    by induction from the literal root, every triple is checked exactly.  A
+    failed check or a triple count other than the plan raises InvariantError.
+    """
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
     if depth > MAX_TREE_DEPTH:
@@ -78,35 +88,51 @@ def _tree_levels(depth: int, budget: int | None):
         raise BudgetExceededError(
             f"a Markov tree of depth {depth} has {planned} triples, budget is {budget}"
         )
-    # parent of each triple reached; the root (1, 1, 1) has none
     parents: dict[MarkovTriple, MarkovTriple | None] = {(1, 1, 1): None}
     level = [(1, 1, 1)]
+    reached = 1
     for _ in range(depth):
         nxt = []
         for t in level:
-            # t is sorted: moving its maximum gives back its parent
-            for i in range(2):
-                w = tuple(sorted(_flip(t, i)))
-                if w in parents:
-                    continue
-                # the one check of each new triple
-                if w[0] < 1 or markov_value(*w) != 0:
-                    raise InvariantError(f"the move from {t} at {i} gave the non-solution {w}")
-                parents[w] = t
-                nxt.append(w)
-        level = sorted(nxt)
+            a, b, c = t
+            cc = c * c
+            for i, u in ((0, b), (1, a)) if a != b else ((0, b),):
+                w = _flip(t, i)[i]
+                if not (w > c and t[i] * w == u * u + cc):
+                    raise InvariantError(f"the move from {t} at {i} gave the non-solution {(u, c, w)}")
+                child = (u, c, w)
+                parents[child] = t
+                nxt.append(child)
+        reached += len(nxt)
+        level = nxt
+    if len(parents) != planned or reached != planned:
+        raise InvariantError(
+            f"the tree of depth {depth} reached {reached} triples, {len(parents)} distinct, not {planned}"
+        )
     return parents
 
 
 def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
     """All canonical (sorted) Markov triples within `depth` moves of (1, 1, 1).
 
-    Each triple past the root is checked once against the equation, as it is
-    first reached (InvariantError on a failure).  Depth d >= 1 gives
-    2**(d-1) + 1 triples; BudgetExceededError, before any work, when that
-    exceeds `budget`.
+    Each triple past the root is checked once against the equation, in Vieta
+    form, as it is first reached (InvariantError on a failure).  Depth d >= 1
+    gives 2**(d-1) + 1 triples; BudgetExceededError, before any work, when
+    that exceeds `budget`.
     """
     return sorted(_tree_levels(depth, budget))
+
+
+def markov_tree_json(depth: int, budget: int | None = None) -> str:
+    """json.dumps of {"depth": depth, "triples": [[a, b, c], ...]}, byte for byte.
+
+    Every Markov number is the maximum of the triple that introduced it, so
+    each is turned into decimal once; the rows fill one template.
+    """
+    order = markov_tree(depth, budget)
+    dec = {t[2]: str(t[2]) for t in order}
+    rows = ", ".join([f"[{dec[a]}, {dec[b]}, {dec[c]}]" for a, b, c in order])
+    return f'{{"depth": {depth}, "triples": [{rows}]}}'
 
 
 def markov_tree_dot(depth: int, budget: int | None = None) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import DegeneratePellError, InvariantError
+from .errors import BudgetExceededError, DegeneratePellError, InvariantError
 from .sequences import family_multiplier, scaled_cheb_t, scaled_cheb_u
 
 __all__ = [
@@ -180,6 +180,7 @@ def pell_oracle(
     bound: int,
     *,
     include_zero: bool = False,
+    budget: int | None = None,
 ) -> list[PellSolution]:
     """All solutions with 1 <= z <= bound, ascending in z; a = 0 only with include_zero.
 
@@ -193,7 +194,9 @@ def pell_oracle(
     value at sqrt|N|*eps finds every gamma, and multiplying by eps while it stays
     <= top gives the rest.  The direct scan of z = 1..bound runs instead, in
     this process, when that scan would reach bound, or when
-    x1 > (top+1)*(isqrt(f)+1), where the expansion of sqrt(f) stops.
+    x1 > (top+1)*(isqrt(f)+1), where the expansion of sqrt(f) stops.  The plan
+    is the number of values scanned: c + 1 seeds, or bound on the direct scan;
+    BudgetExceededError, before either scan, when that exceeds `budget`.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -215,6 +218,9 @@ def pell_oracle(
             c = isqrt(x1 * x1 * n - 1) if n > 0 else isqrt(-n * f * y1 * y1 - 1)
         else:
             c = isqrt(y1 * y1 * n - 1) if n > 0 else isqrt((-n * x1 * x1 - 1) // f)
+    planned = bound if c >= bound else c + 1
+    if budget is not None and planned > budget:
+        raise BudgetExceededError(f"pell-oracle needs {planned} scanned values, budget is {budget}")
     if c >= bound:
         rows = _oracle_range(d, n, form, include_zero, 1, bound)
     else:

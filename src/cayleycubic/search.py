@@ -163,7 +163,9 @@ def _chain_family(p: int, cur: list[tuple[int, int]], t: Triple) -> tuple[int, i
     """(p, n, m) of a finished replay, checked against the chain values."""
     # _replay_step keeps the indices of the form {i, j, i + j}
     n, m, top = sorted(idx for _, idx in cur)
-    expect = sorted(scaled_cheb_t(t.s, p, i) for i in (n, m, top))
+    # X_0 = s and X_1 = p are the seeds: only later values need the recurrence
+    seeds = (t.s, p)
+    expect = sorted(seeds[i] if i < 2 else scaled_cheb_t(t.s, p, i) for i in (n, m, top))
     if expect != sorted(t.components):
         raise InvariantError(f"chain ({p}, {n}, {m}) gives {expect}, not {t.components}")
     return (p, n, m)

@@ -239,6 +239,22 @@ def test_pell_oracle_include_zero(capsys):
     assert blob["solutions"] == [[1, 0], [2, 1]]
 
 
+def test_pell_oracle_budget(capsys, monkeypatch):
+    # d = 3, rhs = 1: the seeds X = 0, 1 below the unit 2 + sqrt(3) are the plan
+    argv = ["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30"]
+    assert run(argv + ["--budget", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs 2 scanned values, budget is 1" in captured.err
+    assert run(argv + ["--budget", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["solutions"] == [[2, 1], [7, 4], [26, 15]]
+    monkeypatch.setenv("CAYLEY_BUDGET", "1")
+    assert run(argv) == 1
+    assert "budget" in capsys.readouterr().err
+    monkeypatch.setenv("CAYLEY_BUDGET", "2")
+    assert run(argv) == 0
+
+
 def test_pell_oracle_rejects_square_d():
     with pytest.raises(SystemExit) as exc:
         run(["pell-oracle", "--d", "4", "--rhs", "1", "--bound", "10"])

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from cayleycubic import (
     markov_neighbor,
     markov_tree,
     markov_tree_dot,
+    markov_tree_json,
     markov_value,
     sequence_overlap_search,
     splitting_identity_holds,
@@ -123,6 +125,8 @@ def test_markov_tree_matches_neighbor_bfs(depth):
     seen, _ = neighbor_bfs_levels(depth)
     assert markov_tree(depth) == sorted(seen)
     assert markov_tree_dot(depth) == reference_tree_dot(depth)
+    # the JSON writer against json.dumps of the reference triples
+    assert markov_tree_json(depth) == json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
 
 
 def test_markov_tree_size_closed_form():
@@ -135,33 +139,51 @@ def test_markov_tree_size_closed_form():
             markov_tree(d, budget=2 ** (d - 1))
 
 
-def test_markov_tree_checks_each_new_triple_once(monkeypatch):
-    calls = []
-
-    def counting(x, y, z):
-        calls.append((x, y, z))
-        return markov_value(x, y, z)
-
-    flips = []
-
-    def counting_flip(t, i):
-        flips.append((t, i))
-        return flip(t, i)
-
+def _moves(monkeypatch, depth):
+    """markov_tree(depth) and every (triple, index) move it makes, in order."""
+    moves = []
     flip = mk._flip
-    monkeypatch.setattr(mk, "markov_value", counting)
-    monkeypatch.setattr(mk, "_flip", counting_flip)
-    tree = markov_tree(10)
-    # every triple but the root (1, 1, 1), each exactly once
-    assert sorted(calls) == tree[1:]
-    # two moves for each of the 2**8 + 1 triples above the last level: moving
-    # the maximum of a sorted triple only leads back to its parent
-    assert len(flips) == 2 * (2**8 + 1)
+    with monkeypatch.context() as m:
+        m.setattr(mk, "_flip", lambda t, i: moves.append((t, i)) or flip(t, i))
+        tree = markov_tree(depth)
+    return tree, moves
+
+
+def _flip_off_at(monkeypatch, move, delta):
+    """Patch _flip to be off by `delta` at `move` alone."""
+    flip = mk._flip
+
+    def off_flip(t, i):
+        out = flip(t, i)
+        if (t, i) != move:
+            return out
+        return tuple(v + delta if k == i else v for k, v in enumerate(out))
+
+    monkeypatch.setattr(mk, "_flip", off_flip)
+
+
+def test_markov_tree_checks_each_new_triple_once(monkeypatch):
+    tree, moves = _moves(monkeypatch, 10)
+    # one move per triple but the root (1, 1, 1): moving the maximum of a
+    # sorted triple leads back to its parent, and the two moves of (1, 1, 1)
+    # and of (1, 1, 2) are one
+    assert len(moves) == len(tree) - 1 == 2**9
+    assert len(set(moves)) == len(moves)
+    # and each move is checked: one that is off by one there alone raises
+    _, moves = _moves(monkeypatch, 6)
+    assert len(moves) == 32
+    for move in moves:
+        for delta in (1, -1):
+            with monkeypatch.context() as m:
+                _flip_off_at(m, move, delta)
+                with pytest.raises(InvariantError):
+                    markov_tree(6)
 
 
 def test_markov_tree_raises_on_a_bad_new_triple(monkeypatch):
-    # a value test that rejects one triple deep in the tree
-    monkeypatch.setattr(mk, "markov_value", lambda x, y, z: 1 if (x, y, z) == (2, 29, 169) else 0)
+    # a move that gives a wrong value deep in the tree: (2, 5, 29) at 5 leads to (2, 29, 169)
+    assert mk._flip((2, 5, 29), 1) == (2, 169, 29)
+    _flip_off_at(monkeypatch, ((2, 5, 29), 1), 1)
     assert len(markov_tree(3)) == 5
     with pytest.raises(InvariantError):
         markov_tree(4)
@@ -182,6 +204,9 @@ def test_markov_tree_budget():
     assert markov_tree_dot(5, budget=17) == markov_tree_dot(5)
     with pytest.raises(BudgetExceededError):
         markov_tree_dot(5, budget=16)
+    assert markov_tree_json(5, budget=17) == markov_tree_json(5)
+    with pytest.raises(BudgetExceededError):
+        markov_tree_json(5, budget=16)
     assert markov_tree(0, budget=1) == [(1, 1, 1)]
     with pytest.raises(BudgetExceededError):
         markov_tree(0, budget=0)
@@ -197,6 +222,8 @@ def test_markov_tree_refusal_does_no_work(monkeypatch):
         markov_tree(MAX_TREE_DEPTH, budget=10**6)
     with pytest.raises(BudgetExceededError):
         markov_tree_dot(20, budget=2**19)
+    with pytest.raises(BudgetExceededError):
+        markov_tree_json(20, budget=2**19)
 
 
 def test_continuant_values():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cayleycubic import (
     FORM_A,
     FORM_Z,
+    BudgetExceededError,
     DegeneratePellError,
     InvariantError,
     NonIntegralFamilyError,
@@ -342,3 +343,26 @@ def test_oracle_stops_the_expansion_at_the_cap():
         timeout=60,
     )
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "inst, bound, planned",
+    [
+        (PellInstance(3, 1, FORM_Z), 10**6, 2),  # seeds X = 0, 1 below the unit 2 + sqrt(3)
+        (PellInstance(3, -299, FORM_A), 10**4, 20),  # seeds W = 0..19
+        (PellInstance(61, 36, FORM_Z), 2000, 2000),  # unit past the cap: the direct scan of z = 1..2000
+    ],
+)
+def test_oracle_budget_refuses_before_any_scan(monkeypatch, inst, bound, planned):
+    want = _direct(inst, bound)
+    spans = _record_scans(monkeypatch)
+    # plan == budget runs, and the plan is the number of values scanned
+    assert pell_oracle(inst, bound, budget=planned) == want
+    assert sum(hi - lo + 1 for _, lo, hi in spans) == planned
+
+    def no_scan(*args):
+        raise AssertionError("a refused oracle must not scan")
+
+    monkeypatch.setattr(pl, "_oracle_range", no_scan)
+    with pytest.raises(BudgetExceededError, match=f"needs {planned} scanned values, budget is {planned - 1}$"):
+        pell_oracle(inst, bound, budget=planned - 1)
