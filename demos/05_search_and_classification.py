@@ -18,8 +18,8 @@ sols = enumerate_solutions(12, 40)
 print("count at s=12, bound 40:", len(sols))
 print("last four:", [t.components for t in sols[-4:]])
 
-# family_membership replays the descent of a solution and reports the
-# chain (b, n, m) that generates it, or None.
+# family_membership descends a solution to its terminal (s, b, b), looks its
+# components up in the chain at base (s, b) and reports (b, n, m), or None.
 print("membership of (13,15,20):", family_membership(sols[-2]))
 print("membership of (12,18,18):",
       family_membership([t for t in sols if t.components == (12, 18, 18)][0]))

@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--include-zero", action="store_true", help="keep a = 0 solutions")
     p.add_argument("--budget", type=int, default=None, help="cap on scanned values (env CAYLEY_BUDGET)")
-    p.add_argument("--workers", type=int, default=1, help="ignored: scans run in one process")
     fmt(p, ("json", "text"), "json")
     p.set_defaults(func=_cmd_pell_oracle)
 
@@ -315,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="cap on quadratic solves (env CAYLEY_BUDGET)")
-    p.add_argument("--workers", type=int, default=1, help="ignored: scans run in one process")
     fmt(p, ("jsonl", "csv"), "jsonl")
     p.set_defaults(func=_cmd_classify)
 

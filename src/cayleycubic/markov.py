@@ -138,11 +138,14 @@ def markov_tree_json(depth: int, budget: int | None = None) -> str:
 def markov_tree_dot(depth: int, budget: int | None = None) -> str:
     """The same tree as a DOT digraph, parent pointing at child.
 
-    Each triple is turned into decimal once, and the lines are joined once.
+    Each Markov number is turned into decimal once, as in `markov_tree_json`,
+    each node name is built once, and the lines are joined once.
     """
     parents = _tree_levels(depth, budget)
     order = sorted(parents)
-    names = {t: '"{},{},{}"'.format(*t) for t in order}
+    dec = {t[2]: str(t[2]) for t in order}
+    names = dict(zip(order, [f'"{dec[a]},{dec[b]},{dec[c]}"' for a, b, c in order]))
+    del dec
     lines = ["digraph markov {"]
     lines += [f"  {names[t]};" for t in order]
     # (1, 1, 1), the least triple, is the only one without a parent

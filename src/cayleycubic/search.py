@@ -10,20 +10,19 @@ and runs in one process: the work per a falls off like B/a, so equal spans
 of a never split it.  Classification then connects the enumerated solutions
 by conjugation moves and tags each one, in one pass over the sorted list:
 a solution's reduction parent is enumerated and sorts before it, so its
-family is one replay step from its parent's (see `classify`).
+terminal base is its parent's, and its family is the positions of its
+components in that base's chain (see `classify`).
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError, InvariantError
-from .sequences import scaled_cheb_t
-from .triples import Triple, _require_solution, base_value, reduction_trace
+from .triples import Triple, _chain_values, _require_solution, base_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -123,71 +122,42 @@ def enumerate_solutions(
     return [Triple(s, *r) for r in rows]
 
 
-def _terminal_state(t: Triple) -> tuple[int, list[tuple[int, int]]] | None:
-    """(p, [(value, chain index)] * 3) for a reduction terminal (s, p, p) with
-    s | 2p, the start of the index replay; None for any other terminal."""
+def _terminal_base(t: Triple) -> int | None:
+    """The base p of a reduction terminal (s, p, p) with s | 2p, which is
+    (X_0, X_1, X_1) of the chain at base (s, p); None for any other terminal."""
     p = base_value(t)
-    if p is None or (2 * p) % t.s:
-        return None
-    # the terminal is (X_0, X_1, X_1) = (s, p, p)
-    x0, x1, x2 = t.components
-    if x1 == x2 and x0 == t.s:
-        return p, [(x0, 0), (x1, 1), (x2, 1)]
-    return p, [(x2, 0), (x0, 1), (x1, 1)]
+    return None if p is None or 2 * p % t.s else p
 
 
-def _replay_step(cur: list[tuple[int, int]], prev: Triple) -> list[tuple[int, int]]:
-    """The indexed components of `prev`, one reduction step above `cur`.
-
-    Walking a trace back up, the replaced component always sits at index
-    |i - j| and moves to i + j, where i, j are the indices of the two
-    untouched components; a step that breaks this raises InvariantError.
-    """
-    pc = Counter(prev.components)
-    cc = Counter(v for v, _ in cur)
-    added = list((pc - cc).elements())
-    removed = list((cc - pc).elements())
-    if len(added) != 1 or len(removed) != 1:
-        raise InvariantError(f"trace step to {prev} does not replace exactly one component")
-    v_new, v_old = added[0], removed[0]
-    pos = next(k for k, (v, _) in enumerate(cur) if v == v_old)
-    old_idx = cur[pos][1]
-    rest = cur[:pos] + cur[pos + 1 :]
-    (i1, i2) = (rest[0][1], rest[1][1])
-    if old_idx != abs(i1 - i2):
-        raise InvariantError(f"trace step to {prev} replaces index {old_idx}, not {abs(i1 - i2)}")
-    return rest + [(v_new, i1 + i2)]
-
-
-def _chain_family(p: int, cur: list[tuple[int, int]], t: Triple) -> tuple[int, int, int]:
-    """(p, n, m) of a finished replay, checked against the chain values."""
-    # _replay_step keeps the indices of the form {i, j, i + j}
-    n, m, top = sorted(idx for _, idx in cur)
-    # X_0 = s and X_1 = p are the seeds: only later values need the recurrence
-    seeds = (t.s, p)
-    expect = sorted(seeds[i] if i < 2 else scaled_cheb_t(t.s, p, i) for i in (n, m, top))
-    if expect != sorted(t.components):
-        raise InvariantError(f"chain ({p}, {n}, {m}) gives {expect}, not {t.components}")
+def _chain_family(t: Triple, p: int, index: dict[int, int]) -> tuple[int, int, int]:
+    """(p, n, m) with t a permutation of (X_n, X_{n+m}, X_m), n <= m, read off
+    `index`, the chain position k of each value X_k at base (s, p)."""
+    try:
+        n, m, top = sorted(index[x] for x in t.components)
+    except KeyError:
+        raise InvariantError(f"{t.components} has a component off the chain at base ({t.s}, {p})") from None
+    if top != n + m:
+        raise InvariantError(f"{t.components} sits at chain indices ({n}, {m}, {top}), not (n, m, n + m)")
     return (p, n, m)
 
 
 def family_membership(t: Triple) -> tuple[int, int, int] | None:
     """(b, n, m) such that t is a permutation of chain values (X_n, X_{n+m}, X_m).
 
-    b is the base value of the triple's reduction terminal, and (n, m) are
-    replayed from the trace (one index step per reduction step), so no grid
-    search happens.  Returns None when the terminal is not base-shaped or
-    when its base value fails the s | 2b integrality gate.  `classify` runs
-    the same replay one step per solution along reduction parents.
+    b is the base value of the triple's reduction terminal (s, b, b), which
+    is (X_0, X_1, X_1).  Any other member has b > s, so its chain strictly
+    increases and (n, m) are the positions of its components in it; they
+    must have the form {n, m, n + m}.  Returns None when the terminal is not
+    base-shaped or when its base value fails the s | 2b integrality gate.
     """
     trace = reduction_trace(t)
-    state = _terminal_state(trace[-1])
-    if state is None:
+    p = _terminal_base(trace[-1])
+    if p is None:
         return None
-    p, cur = state
-    for prev in reversed(trace[:-1]):
-        cur = _replay_step(cur, prev)
-    return _chain_family(p, cur, t)
+    if len(trace) == 1:
+        return (p, 0, 1)
+    index = {x: k for k, x in enumerate(_chain_values(t.s, p, max(t.components)))}
+    return _chain_family(t, p, index)
 
 
 @dataclass(frozen=True)
@@ -220,8 +190,9 @@ def classify(
     `reduction_trace` (ties give the same triple).  When it shrinks the
     triple it lands on the reduction parent, which is enumerated (positive,
     within the bound) and sorts earlier (one component got smaller), so each
-    solution extends its parent's family replay by one `_replay_step`, with
-    the checks of `family_membership`; one without such a move is a terminal.
+    solution takes its parent's terminal base; one without such a move is a
+    terminal.  The family is then read off that base's chain with the checks
+    of `family_membership`, one value-to-index table per base.
     """
     sols = enumerate_solutions(s, bound, budget=budget)
     index = {t.components: i for i, t in enumerate(sols)}
@@ -239,9 +210,8 @@ def classify(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    # replay state (p, indexed components) of each family member that is not
-    # a terminal; a terminal's state is rebuilt from the triple when needed
-    replays = {}
+    bases = []  # the terminal base p of each solution, None outside the families
+    chains = {}  # {X_k: k} of each base p met off its terminal
     rows = []  # (tags, family, conjugates) per solution
     for i, t in enumerate(sols):
         _require_solution(t)
@@ -267,14 +237,16 @@ def classify(
             union(i, j)
             if k == 2 and cv < c:
                 up = j
-        if up is None:
-            state = _terminal_state(t)
-        elif rows[up][1] is None:  # the parent is in no family
-            state = None
+        p = _terminal_base(t) if up is None else bases[up]
+        bases.append(p)
+        if p is None:
+            fam = None
+        elif up is None:
+            fam = (p, 0, 1)
         else:
-            p, cur = replays[up] if up in replays else _terminal_state(sols[up])
-            state = replays[i] = p, _replay_step(cur, t)
-        fam = None if state is None else _chain_family(*state, t)
+            if p not in chains:
+                chains[p] = {x: k for k, x in enumerate(_chain_values(s, p, bound))}
+            fam = _chain_family(t, p, chains[p])
         tags = []
         if base_value(t) is not None:
             tags.append("base")

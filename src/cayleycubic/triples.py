@@ -262,7 +262,13 @@ class SolutionGraph:
 
 
 def _chain_values(s: int, p: int, bound: int) -> list[int]:
-    """X_0 = s, X_1 = p, ..., X_N of the chain at base (s, p), with X_N <= bound < X_{N+1}."""
+    """X_0 = s, X_1 = p, ..., X_N of the chain at base (s, p), with X_N <= bound < X_{N+1}.
+
+    The chain strictly increases exactly when p > s and s | 2p (the
+    multiplier 2p/s is then >= 3); any other base raises InvariantError.
+    """
+    if p <= s or 2 * p % s:
+        raise InvariantError(f"base ({s}, {p}) has no increasing integral chain")
     mult = 2 * p // s
     xs = [s, p]
     while xs[-1] <= bound:

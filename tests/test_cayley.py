@@ -466,6 +466,15 @@ def test_chain_graph_checks_the_seed_is_a_vertex(monkeypatch):
         solution_graph(family_triple(1, 5, 3, 4), 10**20)
 
 
+def test_chain_values_refuses_a_chain_that_does_not_increase():
+    assert triples._chain_values(1, 2, 100) == [1, 2, 7, 26, 97]
+    assert triples._chain_values(4, 6, 100) == [4, 6, 14, 36, 94]
+    # p = s (constant), p < s (multiplier 1) and s not dividing 2p
+    for s, p in ((2, 2), (12, 12), (12, 6), (3, 4), (5, 6)):
+        with pytest.raises(InvariantError, match=rf"base \({s}, {p}\) has no increasing integral chain"):
+            triples._chain_values(s, p, 10)
+
+
 @pytest.mark.parametrize(
     "g",
     [

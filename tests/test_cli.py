@@ -336,8 +336,6 @@ def test_broken_pipe_exits_1_quietly():
     "argv",
     [
         ["search", "--s", "24", "--bound", "300"],
-        ["classify", "--s", "12", "--bound", "200", "--format", "csv"],
-        ["pell-oracle", "--d", "61", "--rhs", "36", "--bound", "2000"],
     ],
 )
 def test_workers_flag_is_ignored(capsys, argv):
@@ -345,6 +343,24 @@ def test_workers_flag_is_ignored(capsys, argv):
     out = capsys.readouterr().out
     assert run(argv + ["--workers", "2"]) == 0
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--s", "12", "--bound", "200", "--format", "csv"],
+        ["pell-oracle", "--d", "61", "--rhs", "36", "--bound", "2000"],
+    ],
+)
+def test_workers_flag_is_refused_outside_search(capsys, argv):
+    assert run(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--workers", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --workers 2" in captured.err
 
 
 def test_search_budget_env(capsys, monkeypatch):

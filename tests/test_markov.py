@@ -107,9 +107,8 @@ def neighbor_bfs_levels(depth):
     return seen, parents
 
 
-def reference_tree_dot(depth):
+def reference_tree_dot(seen, parents):
     """Reference for markov_tree_dot: every name formatted where it is used."""
-    seen, parents = neighbor_bfs_levels(depth)
     lines = ["digraph markov {"]
     for t in sorted(seen):
         lines.append('  "{},{},{}";'.format(*t))
@@ -120,11 +119,11 @@ def reference_tree_dot(depth):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("depth", range(13))
+@pytest.mark.parametrize("depth", range(17))
 def test_markov_tree_matches_neighbor_bfs(depth):
-    seen, _ = neighbor_bfs_levels(depth)
+    seen, parents = neighbor_bfs_levels(depth)
     assert markov_tree(depth) == sorted(seen)
-    assert markov_tree_dot(depth) == reference_tree_dot(depth)
+    assert markov_tree_dot(depth) == reference_tree_dot(seen, parents)
     # the JSON writer against json.dumps of the reference triples
     assert markov_tree_json(depth) == json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
 

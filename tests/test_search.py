@@ -3,7 +3,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -169,28 +169,81 @@ def test_family_membership_roundtrip(s, mult, n, m):
     assert sorted(rebuilt.components) == sorted(t.components)
 
 
+def _chain(s, b, length):
+    """X_0 .. X_{length-1} of the chain at base (s, b), from its recurrence."""
+    xs = [s, b]
+    while len(xs) < length:
+        xs.append(2 * b // s * xs[-1] - xs[-2])
+    return xs[:length]
+
+
+def _scan_family(s, b, t):
+    """Brute-force membership of t in the chain at base (s, b): the least
+    index pair i <= j, 0 < j <= 16, whose (X_i, X_{i+j}, X_j) is a permutation
+    of t, then, with g = gcd(i, j), base X_g and the pair found by scanning
+    the chain at base (s, X_g) in the same way."""
+    xs = _chain(s, b, 33)
+    want = sorted(t.components)
+    pairs = [(i, j) for j in range(1, 17) for i in range(j + 1) if sorted((xs[i], xs[i + j], xs[j])) == want]
+    if 2 * b // s >= 3:  # the chain strictly increases: the pair is unique
+        assert len(pairs) == 1, (s, b, t, pairs)
+    i, j = min(pairs)
+    g = gcd(i, j)
+    if g == 1:
+        return (b, i, j)
+    inner = _scan_family(s, xs[g], t)
+    assert inner[1:] == (i // g, j // g), (s, b, t, inner)
+    return inner
+
+
+def test_family_membership_matches_a_scan_of_index_pairs():
+    inputs = 0
+    for s in range(1, 9):
+        for mult in range(3, 13):
+            if s * mult % 2:
+                continue
+            b = s * mult // 2
+            for n in range(9):
+                for m in range(9):
+                    if (n, m) == (0, 0):
+                        continue
+                    t = family_triple(s, b, n, m)
+                    assert family_membership(t) == _scan_family(s, b, t), (s, b, n, m)
+                    inputs += 1
+    assert inputs == 4800
+    # the terminals of multipliers 1 and 2 at s = 12, whose chains do not increase
+    for b, t in ((6, Triple(12, 6, 6, 12)), (12, Triple(12, 12, 12, 12))):
+        assert family_membership(t) == _scan_family(12, b, t) == (b, 0, 1)
+
+
 def _fake_trace(monkeypatch, *steps):
     monkeypatch.setattr(sr, "reduction_trace", lambda t: [Triple(1, *c) for c in steps])
 
 
+# Each fake trace ends at the terminal (1, 2, 2) of the chain 1, 2, 7, 26, 97, ...
+
+
 def test_family_membership_rejects_a_step_changing_two_components(monkeypatch):
     _fake_trace(monkeypatch, (5, 6, 7), (1, 2, 2))
-    with pytest.raises(InvariantError, match="exactly one component"):
+    with pytest.raises(InvariantError, match=r"\(5, 6, 7\) has a component off the chain at base \(1, 2\)"):
         family_membership(Triple(1, 5, 6, 7))
 
 
 def test_family_membership_rejects_a_step_at_the_wrong_index(monkeypatch):
-    # from (2, 2, 7) = (X_1, X_1, X_2) on base (1, 2) the step must replace
-    # an X_1; replacing X_2 breaks the index replay
+    # 2 = X_1 twice, but 1000 is no chain value
     _fake_trace(monkeypatch, (2, 2, 1000), (2, 2, 7), (1, 2, 2))
-    with pytest.raises(InvariantError, match="replaces index 2, not 0"):
+    with pytest.raises(InvariantError, match=r"\(2, 2, 1000\) has a component off the chain"):
         family_membership(Triple(1, 2, 2, 1000))
+    # every value on the chain, at indices (1, 2, 4): not of the form (n, m, n + m)
+    _fake_trace(monkeypatch, (2, 7, 97), (1, 2, 2))
+    with pytest.raises(InvariantError, match=r"indices \(1, 2, 4\), not \(n, m, n \+ m\)"):
+        family_membership(Triple(1, 2, 7, 97))
 
 
 def test_family_membership_rejects_a_replay_off_the_chain(monkeypatch):
-    # consistent indices (0, 1, 1), but 8 is not X_1 = 2 of base (1, 2)
+    # 1 and 2 are X_0 and X_1, but 8 is no chain value
     _fake_trace(monkeypatch, (1, 2, 8), (1, 2, 2))
-    with pytest.raises(InvariantError, match=r"gives \[1, 2, 2\], not \(1, 2, 8\)"):
+    with pytest.raises(InvariantError, match=r"\(1, 2, 8\) has a component off the chain"):
         family_membership(Triple(1, 1, 2, 8))
 
 
@@ -477,32 +530,40 @@ def test_classify_checks_every_triple_solves(monkeypatch):
         classify(1, 61)
 
 
-def _patch_replay_input(monkeypatch, when, triple):
-    real = sr._replay_step
-    monkeypatch.setattr(
-        sr, "_replay_step", lambda cur, prev: real(cur, Triple(1, *triple) if prev.components == when else prev)
-    )
+def _patch_chain(monkeypatch, edit):
+    """Make search read the chain at base (1, 2) through `edit`; bound 100
+    gives 1, 2, 7, 26, 97."""
+    real = sr._chain_values
+
+    def patched(s, p, bound):
+        xs = real(s, p, bound)
+        return edit(xs) if (s, p) == (1, 2) else xs
+
+    monkeypatch.setattr(sr, "_chain_values", patched)
 
 
 def test_classify_rejects_a_step_changing_two_components(monkeypatch):
-    # the first replay of classify(1, ...) goes from (1, 2, 2) to (2, 2, 7)
-    _patch_replay_input(monkeypatch, (2, 2, 7), (5, 6, 7))
-    with pytest.raises(InvariantError, match="exactly one component"):
+    # X_2 = 7 dropped: (2, 2, 7), the first member past a terminal, is off the chain
+    _patch_chain(monkeypatch, lambda xs: xs[:2] + xs[3:])
+    with pytest.raises(InvariantError, match=r"\(2, 2, 7\) has a component off the chain at base \(1, 2\)"):
         classify(1, 100)
 
 
 def test_classify_rejects_a_step_at_the_wrong_index(monkeypatch):
-    # (2, 2, 7) = (X_1, X_1, X_2) on base (1, 2); its child (2, 7, 26) read as
-    # (2, 2, 1000) replaces X_2 where the replay needs index 0
-    _patch_replay_input(monkeypatch, (2, 7, 26), (2, 2, 1000))
-    with pytest.raises(InvariantError, match="replaces index 2, not 0"):
+    # X_3 and X_4 swapped: (2, 7, 26) sits at indices (1, 2, 4)
+    _patch_chain(monkeypatch, lambda xs: xs[:3] + [xs[4], xs[3]] + xs[5:])
+    with pytest.raises(InvariantError, match=r"\(2, 7, 26\) sits at chain indices \(1, 2, 4\), not \(n, m, n \+ m\)"):
         classify(1, 100)
 
 
 def test_classify_rejects_a_replay_off_the_chain(monkeypatch):
-    monkeypatch.setattr(sr, "scaled_cheb_t", lambda s, b, n: n + 1)
-    with pytest.raises(InvariantError, match="gives"):
-        classify(1, 10)
+    # the chain shifted by one index: (2, 2, 7) sits at indices (0, 0, 1)
+    _patch_chain(monkeypatch, lambda xs: xs[1:])
+    with pytest.raises(InvariantError, match=r"\(2, 2, 7\) sits at chain indices \(0, 0, 1\)"):
+        classify(1, 100)
+    # family_membership reads the same kernel
+    with pytest.raises(InvariantError, match=r"sits at chain indices \(0, 0, 1\)"):
+        family_membership(Triple(1, 2, 2, 7))
 
 
 def _hand_row(tags, family, conjugates, s=5, triple=(1, 1, 5), component=0):
