@@ -7,140 +7,14 @@ families of Pell equations, and contrast with Markov triples through the
 continuant calculus.  Everything is computed exactly; no floats anywhere.
 """
 
-from .errors import (
-    BudgetExceededError,
-    CayleyError,
-    DegeneratePellError,
-    InvariantError,
-    NonIntegralFamilyError,
-    NotASolutionError,
-)
-from .markov import (
-    MAX_TREE_DEPTH,
-    MarkovTriple,
-    OverlapReport,
-    continuant,
-    continuant_drop_last,
-    continuant_interior,
-    continuant_power_sequence,
-    markov_neighbor,
-    markov_tree,
-    markov_tree_dot,
-    markov_tree_json,
-    markov_value,
-    sequence_overlap_search,
-    splitting_identity_holds,
-)
-from .pell import (
-    FORM_A,
-    FORM_Z,
-    PellInstance,
-    PellSolution,
-    family_one_instance,
-    family_two_instance,
-    pell_family_one,
-    pell_family_one_members,
-    pell_family_two,
-    pell_oracle,
-    verify_pell,
-)
-from .search import (
-    TAG_ORDER,
-    Classification,
-    classifications_to_csv,
-    classifications_to_jsonl,
-    classify,
-    enumerate_solutions,
-    family_membership,
-    triples_to_csv,
-    triples_to_jsonl,
-)
-from .sequences import (
-    cheb_t,
-    cheb_u,
-    family_multiplier,
-    lucas_u,
-    lucas_v,
-    scaled_cheb_t,
-    scaled_cheb_u,
-)
-from .triples import (
-    COMPONENT_NAMES,
-    SolutionGraph,
-    Triple,
-    base_value,
-    cayley_value,
-    conjugate_component,
-    euclid_index_path,
-    family_triple,
-    is_base,
-    is_singular,
-    neighbors,
-    reduction_trace,
-    solution_graph,
-)
+from . import errors, markov, pell, search, sequences, triples
+from .errors import *
+from .markov import *
+from .pell import *
+from .search import *
+from .sequences import *
+from .triples import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CayleyError",
-    "DegeneratePellError",
-    "InvariantError",
-    "NonIntegralFamilyError",
-    "NotASolutionError",
-    "MAX_TREE_DEPTH",
-    "MarkovTriple",
-    "OverlapReport",
-    "continuant",
-    "continuant_drop_last",
-    "continuant_interior",
-    "continuant_power_sequence",
-    "markov_neighbor",
-    "markov_tree",
-    "markov_tree_dot",
-    "markov_tree_json",
-    "markov_value",
-    "sequence_overlap_search",
-    "splitting_identity_holds",
-    "FORM_A",
-    "FORM_Z",
-    "PellInstance",
-    "PellSolution",
-    "family_one_instance",
-    "family_two_instance",
-    "pell_family_one",
-    "pell_family_one_members",
-    "pell_family_two",
-    "pell_oracle",
-    "verify_pell",
-    "TAG_ORDER",
-    "Classification",
-    "classifications_to_csv",
-    "classifications_to_jsonl",
-    "classify",
-    "enumerate_solutions",
-    "family_membership",
-    "triples_to_csv",
-    "triples_to_jsonl",
-    "cheb_t",
-    "cheb_u",
-    "family_multiplier",
-    "lucas_u",
-    "lucas_v",
-    "scaled_cheb_t",
-    "scaled_cheb_u",
-    "COMPONENT_NAMES",
-    "SolutionGraph",
-    "Triple",
-    "base_value",
-    "cayley_value",
-    "conjugate_component",
-    "euclid_index_path",
-    "family_triple",
-    "is_base",
-    "is_singular",
-    "neighbors",
-    "reduction_trace",
-    "solution_graph",
-]
+__all__ = [name for module in (errors, markov, pell, search, sequences, triples) for name in module.__all__]

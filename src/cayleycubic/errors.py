@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CayleyError",
+    "NotASolutionError",
+    "NonIntegralFamilyError",
+    "DegeneratePellError",
+    "BudgetExceededError",
+    "InvariantError",
+]
+
 
 class CayleyError(Exception):
     """Base class for domain errors raised by this package."""

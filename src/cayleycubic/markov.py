@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
+from .sequences import _recurrence
 
 __all__ = [
     "MarkovTriple",
@@ -29,6 +30,7 @@ __all__ = [
     "splitting_identity_holds",
     "OverlapReport",
     "sequence_overlap_search",
+    "MAX_TREE_DEPTH",
 ]
 
 MarkovTriple = tuple[int, int, int]
@@ -210,10 +212,10 @@ def _cohn_trace(alpha: tuple[int, ...]) -> int:
 def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
     """[K'(beta), K'(alpha beta), K'(alpha^2 beta), ...] for even-length alpha.
 
-    K' drops the last entry.  Terms are produced by the two-term recurrence
-    whose integer multiplier is the trace K(alpha) + K''(alpha) of alpha's
-    continuant matrix (equal to K'(alpha^2)/K'(alpha)), and every term is
-    cross-checked against direct continuant evaluation.
+    K' drops the last entry.  Each term is a direct continuant, checked
+    against the two-term recurrence whose integer multiplier is the trace
+    K(alpha) + K''(alpha) of alpha's continuant matrix (equal to
+    K'(alpha^2)/K'(alpha)); a disagreement raises InvariantError.
     """
     a = _check_word(alpha)
     b = _check_word(beta)
@@ -221,17 +223,14 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
         raise ValueError(f"alpha must be a non-empty word of even length, got {a}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    tr = _cohn_trace(a)
     direct = [_drop_last_or_zero(a * k + b) for k in range(count)]
-    terms = direct[:2]
-    for k in range(2, count):
-        nxt = tr * terms[k - 1] - terms[k - 2]
-        if nxt != direct[k]:
-            raise InvariantError(
-                f"recurrence term {nxt} disagrees with direct value {direct[k]} at k={k}"
-            )
-        terms.append(nxt)
-    return terms
+    if count > 1:
+        for k, (want, nxt) in enumerate(zip(direct, _recurrence(_cohn_trace(a), 1, *direct[:2]))):
+            if nxt != want:
+                raise InvariantError(
+                    f"recurrence term {nxt} disagrees with direct value {want} at k={k}"
+                )
+    return direct
 
 
 def splitting_identity_holds(alpha, beta) -> bool:

@@ -9,11 +9,12 @@ multiplies the solutions in one fundamental domain by the fundamental unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DegeneratePellError, InvariantError
-from .sequences import family_multiplier, scaled_cheb_t, scaled_cheb_u
+from .sequences import _recurrence, _scaled_chain, _terms, family_multiplier, scaled_cheb_t, scaled_cheb_u
 
 __all__ = [
     "FORM_Z",
@@ -95,16 +96,18 @@ def pell_family_one(s: int, y: int, n: int) -> PellSolution:
 
 def pell_family_one_members(s: int, y: int, count: int) -> list[PellSolution]:
     """pell_family_one(s, y, n) for n = 1..count, in one pass: both components
-    obey X[k+1] = (2y/s)*X[k] - X[k-1]; the base and every member are checked."""
+    obey X[k+1] = (2y/s)*X[k] - X[k-1] from the first two members; the base
+    and every member are checked."""
     inst = family_one_instance(s, y)
     mult = family_multiplier(s, y)
     sols = [pell_family_one(s, y, n) for n in range(1, min(count, 2) + 1)]
-    while len(sols) < count:
-        (z0, a0), (z1, a1) = sols[-2:]
-        sol = PellSolution(mult * z1 - z0, mult * a1 - a0)
-        if not inst.holds(*sol):
-            raise InvariantError(f"chain solution {sol} fails {inst}")
-        sols.append(sol)
+    if count > 2:
+        (z0, a0), (z1, a1) = sols
+        members = map(PellSolution, _recurrence(mult, 1, z0, z1), _recurrence(mult, 1, a0, a1))
+        for sol in islice(members, 2, count):
+            if not inst.holds(*sol):
+                raise InvariantError(f"chain solution {sol} fails {inst}")
+            sols.append(sol)
     return sols
 
 
@@ -112,7 +115,11 @@ def family_two_instance(s: int, p: int, n: int) -> PellInstance:
     """The equation a^2 - d*z^2 = -s^2*d with d = chain(n)^2 - s^2 at base (s, p)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    y = scaled_cheb_t(s, p, n)
+    return _family_two_at(s, scaled_cheb_t(s, p, n))
+
+
+def _family_two_at(s: int, y: int) -> PellInstance:
+    """The family-two equation of the chain value y."""
     if y <= s:
         raise DegeneratePellError(f"chain value {y} does not exceed s={s}")
     d = y * y - s * s
@@ -120,18 +127,21 @@ def family_two_instance(s: int, p: int, n: int) -> PellInstance:
 
 
 def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
-    """(z, a) = (chain(m), s*(chain(n+m) - chain(|n-m|)) / 2).
+    """(z, a) = (chain(m), s*(chain(n+m) - chain(|n-m|)) / 2), read in one pass.
 
     The difference term carries the factor s/2; without it the defining
     identity fails for every s != 2.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    inst = family_two_instance(s, p, n)
-    diff = s * (scaled_cheb_t(s, p, n + m) - scaled_cheb_t(s, p, abs(n - m)))
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    xn, xm, top, low = _terms(_scaled_chain(s, p), n, m, n + m, abs(n - m))
+    inst = _family_two_at(s, xn)
+    diff = s * (top - low)
     if diff % 2:
         raise ValueError(f"difference term {diff} is odd; no integer solution member")
-    sol = PellSolution(scaled_cheb_t(s, p, m), diff // 2)
+    sol = PellSolution(xm, diff // 2)
     if not inst.holds(*sol):
         raise InvariantError(f"chain difference solution {sol} fails {inst}")
     return sol

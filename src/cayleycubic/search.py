@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError, InvariantError
-from .triples import Triple, _chain_values, _require_solution, base_value, reduction_trace
+from .sequences import _chain_values
+from .triples import Triple, _require_solution, base_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -33,6 +34,7 @@ __all__ = [
     "triples_to_jsonl",
     "classifications_to_csv",
     "classifications_to_jsonl",
+    "TAG_ORDER",
 ]
 
 TAG_ORDER = ("base", "r-family", "isolated", "frontier-limited")

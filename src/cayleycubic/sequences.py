@@ -1,15 +1,18 @@
 """Exact evaluation of the linear recurrence families used throughout.
 
-Every sequence here satisfies a two-term recurrence X[k+1] = t*X[k] - q*X[k-1]
-and is evaluated pointwise over Python integers.  There is no floating point
-and no polynomial-coefficient algebra anywhere in this module.
+Every sequence here, and every chain, Pell family and continuant power
+sequence in the package, is drawn from one generator: X_0, X_1, ... with
+X[k+1] = t*X[k] - q*X[k-1] over Python integers.  Nothing is memoised; a
+caller that needs several terms of one sequence reads them in one pass.
+There is no floating point and no polynomial-coefficient algebra anywhere
+in this module.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import islice, takewhile
 
-from .errors import NonIntegralFamilyError
+from .errors import InvariantError, NonIntegralFamilyError
 
 __all__ = [
     "lucas_u",
@@ -21,56 +24,51 @@ __all__ = [
     "scaled_cheb_u",
 ]
 
-# Entries per cached function, so no cache grows for the life of the process;
-# in a round of the benchmark's `scan` workload they keep 2654 of 2684 hits.
-CACHE_SIZE = 1024
-
-
-def _check_index(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"sequence index must be non-negative, got {n}")
-
 
 def _check_positive(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
-def _run(mult: int, q: int, x0: int, x1: int, steps: int) -> int:
-    """Value after `steps` applications of X[k+1] = mult*X[k] - q*X[k-1]."""
-    for _ in range(steps):
-        x0, x1 = x1, mult * x1 - q * x0
-    return x0
+def _recurrence(t: int, q: int, x0: int, x1: int):
+    """X_0 = x0, X_1 = x1, X_2, ... of X[k+1] = t*X[k] - q*X[k-1], without end."""
+    while True:
+        yield x0
+        x0, x1 = x1, t * x1 - q * x0
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+def _terms(seq, *indices: int) -> tuple[int, ...]:
+    """The terms of `seq` at `indices`, in that order, read in one pass of
+    max(indices) steps."""
+    if min(indices) < 0:
+        raise ValueError(f"sequence index must be non-negative, got {min(indices)}")
+    got, at = {}, 0
+    for k in sorted(set(indices)):
+        got[k] = next(islice(seq, k - at, None))
+        at = k + 1
+    return tuple(got[k] for k in indices)
+
+
 def lucas_u(p: int, q: int, n: int) -> int:
     """Lucas sequence of the first kind: U0 = 0, U1 = 1, U[k+1] = p*U[k] - q*U[k-1]."""
-    _check_index(n)
-    return _run(p, q, 0, 1, n)
+    return _terms(_recurrence(p, q, 0, 1), n)[0]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def lucas_v(p: int, q: int, n: int) -> int:
     """Lucas sequence of the second kind: V0 = 2, V1 = p, same recurrence as lucas_u."""
-    _check_index(n)
-    return _run(p, q, 2, p, n)
+    return _terms(_recurrence(p, q, 2, p), n)[0]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def cheb_t(n: int, x: int) -> int:
     """First-kind Chebyshev value T_n(x): T0 = 1, T1 = x, T[k+1] = 2x*T[k] - T[k-1]."""
-    _check_index(n)
     _check_positive("x", x)
-    return _run(2 * x, 1, 1, x, n)
+    return _terms(_recurrence(2 * x, 1, 1, x), n)[0]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def cheb_u(n: int, x: int) -> int:
     """Second-kind Chebyshev value: seeds 1 and 2x, same recurrence as cheb_t."""
-    _check_index(n)
     _check_positive("x", x)
-    return _run(2 * x, 1, 1, 2 * x, n)
+    return _terms(_recurrence(2 * x, 1, 1, 2 * x), n)[0]
 
 
 def family_multiplier(s: int, b: int) -> int:
@@ -84,16 +82,28 @@ def family_multiplier(s: int, b: int) -> int:
     return (2 * b) // s
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+def _scaled_chain(s: int, b: int):
+    """X_0 = s, X_1 = b, X[k+1] = (2b/s)*X[k] - X[k-1]; the base is checked at the call."""
+    return _recurrence(family_multiplier(s, b), 1, s, b)
+
+
 def scaled_cheb_t(s: int, b: int, n: int) -> int:
     """Scaled first-kind value s*T_n(b/s), computed by integer recurrence (seeds s, b)."""
-    _check_index(n)
-    return _run(family_multiplier(s, b), 1, s, b, n)
+    return _terms(_scaled_chain(s, b), n)[0]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def scaled_cheb_u(s: int, b: int, n: int) -> int:
     """Companion second-kind value: seeds 1 and 2b/s, same multiplier as scaled_cheb_t."""
-    _check_index(n)
     m = family_multiplier(s, b)
-    return _run(m, 1, 1, m, n)
+    return _terms(_recurrence(m, 1, 1, m), n)[0]
+
+
+def _chain_values(s: int, p: int, bound: int) -> list[int]:
+    """X_0 = s, X_1 = p, ..., X_N of the chain at base (s, p), with X_N <= bound < X_{N+1}.
+
+    The chain strictly increases exactly when p > s and s | 2p (the
+    multiplier 2p/s is then >= 3); any other base raises InvariantError.
+    """
+    if p <= s or 2 * p % s:
+        raise InvariantError(f"base ({s}, {p}) has no increasing integral chain")
+    return list(takewhile(lambda x: x <= bound, _scaled_chain(s, p)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvariantError, NotASolutionError
-from .sequences import scaled_cheb_t
+from .sequences import _chain_values, _scaled_chain, _terms
 
 __all__ = [
     "COMPONENT_NAMES",
@@ -136,17 +136,12 @@ def neighbors(t: Triple) -> list[Triple]:
 
 
 def family_triple(s: int, b: int, n: int, m: int) -> Triple:
-    """(X_n, X_{n+m}, X_m) from the scaled Chebyshev chain at base (s, b)."""
+    """(X_n, X_{n+m}, X_m) from one pass of the scaled Chebyshev chain at base (s, b)."""
     if n < 0 or m < 0:
         raise ValueError(f"chain indices must be non-negative, got ({n}, {m})")
     if n == 0 and m == 0:
         raise ValueError("indices (0, 0) give the degenerate triple (s, s, s) twice over")
-    return Triple(
-        s,
-        scaled_cheb_t(s, b, n),
-        scaled_cheb_t(s, b, n + m),
-        scaled_cheb_t(s, b, m),
-    )
+    return Triple(s, *_terms(_scaled_chain(s, b), n, n + m, m))
 
 
 def is_singular(t: Triple) -> bool:
@@ -259,22 +254,6 @@ class SolutionGraph:
             lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{COMPONENT_NAMES[k]}"];')
         lines.append("}\n")
         return "\n".join(lines)
-
-
-def _chain_values(s: int, p: int, bound: int) -> list[int]:
-    """X_0 = s, X_1 = p, ..., X_N of the chain at base (s, p), with X_N <= bound < X_{N+1}.
-
-    The chain strictly increases exactly when p > s and s | 2p (the
-    multiplier 2p/s is then >= 3); any other base raises InvariantError.
-    """
-    if p <= s or 2 * p % s:
-        raise InvariantError(f"base ({s}, {p}) has no increasing integral chain")
-    mult = 2 * p // s
-    xs = [s, p]
-    while xs[-1] <= bound:
-        xs.append(mult * xs[-1] - xs[-2])
-    xs.pop()
-    return xs
 
 
 def solution_graph(seed: Triple, bound: int) -> SolutionGraph:

@@ -149,10 +149,11 @@ def test_family_one_rejects_a_wrong_companion(monkeypatch):
 
 
 def test_family_two_rejects_a_wrong_chain_value(monkeypatch):
-    # off by 2 at index m = 3 only: the instance (n = 1) and the difference
-    # term (indices 4 and 2) keep their true values
+    # the one chain pass is off by 2 at index m = 3 only: the instance (n = 1)
+    # and the difference term (indices 4 and 2) keep their true values
+    chain = pl._scaled_chain
     monkeypatch.setattr(
-        pl, "scaled_cheb_t", lambda s, p, k: scaled_cheb_t(s, p, k) + (2 if k == 3 else 0)
+        pl, "_scaled_chain", lambda s, p: (x + (2 if k == 3 else 0) for k, x in enumerate(chain(s, p)))
     )
     with pytest.raises(InvariantError):
         pell_family_two(1, 4, 1, 3)

@@ -7,8 +7,11 @@ from cayleycubic import (
     cheb_t,
     cheb_u,
     family_multiplier,
+    family_triple,
     lucas_u,
     lucas_v,
+    pell_family_one_members,
+    pell_family_two,
     scaled_cheb_t,
     scaled_cheb_u,
 )
@@ -148,19 +151,48 @@ def test_scaled_chain_rejects_non_integral():
         scaled_cheb_u(9, 2, 1)
 
 
-def test_caches_are_bounded():
-    fns = (lucas_u, lucas_v, cheb_t, cheb_u, scaled_cheb_t, scaled_cheb_u)
-    assert all(f.cache_info().maxsize == sq.CACHE_SIZE for f in fns)
-    for n in range(sq.CACHE_SIZE + 10):
-        lucas_u(1, 1, n)
-    assert lucas_u.cache_info().currsize == sq.CACHE_SIZE
+def _loop(mult, x0, x1, count):
+    """The first `count` terms of x[k+1] = mult*x[k] - x[k-1], written out here
+    as an oracle independent of the library's recurrence kernel."""
+    xs = [x0, x1]
+    while len(xs) < count:
+        xs.append(mult * xs[-1] - xs[-2])
+    return xs[:count]
 
 
-def test_memoized_calls_are_stable():
-    first = [cheb_t(n, 17) for n in range(40)]
-    second = [cheb_t(n, 17) for n in range(40)]
-    assert first == second
-    assert cheb_t.cache_info().hits >= 40
+# every base (s, b) with s in 1-8 and integral multiplier 2b/s in 3-12
+ORACLE_BASES = [(s, mult * s // 2, mult) for s in range(1, 9) for mult in range(3, 13) if mult * s % 2 == 0]
+ORACLE_INDICES = range(13)
+
+
+def test_scaled_chains_match_a_loop():
+    for s, b, mult in ORACLE_BASES:
+        assert [scaled_cheb_t(s, b, n) for n in ORACLE_INDICES] == _loop(mult, s, b, 13)
+        assert [scaled_cheb_u(s, b, n) for n in ORACLE_INDICES] == _loop(mult, 1, mult, 13)
+
+
+def test_family_triples_and_chain_values_match_a_loop():
+    for s, b, mult in ORACLE_BASES:
+        xs = _loop(mult, s, b, 25)
+        for n in ORACLE_INDICES:
+            for m in ORACLE_INDICES:
+                if n or m:
+                    assert family_triple(s, b, n, m).components == (xs[n], xs[n + m], xs[m])
+            assert sq._chain_values(s, b, xs[n]) == xs[: n + 1]
+            assert sq._chain_values(s, b, xs[n + 1] - 1) == xs[: n + 1]
+
+
+def test_pell_families_match_a_loop():
+    for s, y, mult in ORACLE_BASES:
+        xs = _loop(mult, s, y, 25)
+        us = _loop(mult, 1, mult, 13)
+        members = list(zip(xs[1:], us))
+        for count in range(14):
+            assert pell_family_one_members(s, y, count) == members[:count]
+        for n in range(1, 13):
+            for m in range(1, 13):
+                # s*(X_{n+m} - X_{|n-m|}) is even on every base here
+                assert pell_family_two(s, y, n, m) == (xs[m], s * (xs[n + m] - xs[abs(n - m)]) // 2)
 
 
 @given(
