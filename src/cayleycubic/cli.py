@@ -203,10 +203,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_markov_tree(args) -> int:
+    # every check runs before the first chunk: a refused or failed tree writes nothing
     if args.format == "dot":
-        print(mk.markov_tree_dot(args.depth, budget=_budget(args)), end="")
+        sys.stdout.writelines(mk._tree_dot_chunks(args.depth, _budget(args)))
     else:
-        print(mk.markov_tree_json(args.depth, budget=_budget(args)))
+        sys.stdout.writelines(mk._tree_json_chunks(args.depth, _budget(args)))
+        sys.stdout.write("\n")
     return 0
 
 

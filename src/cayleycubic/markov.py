@@ -70,15 +70,16 @@ def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
     return result
 
 
-def _tree_levels(depth: int, budget: int | None):
-    """{triple: parent}, the root (1, 1, 1) mapped to None.
+def _tree_rows(depth: int, budget: int | None, decimal: bool = True) -> list[tuple]:
+    """The tree as rows (a, b, c, str(a), str(b), str(c), parent row), sorted.
 
     A sorted parent (a, b, c) has the sorted children (b, c, 3bc - a) and
     (a, c, 3ac - b), one when a == b; moving c leads back.  The parent solves
     the equation, so the moved component v is a root of X^2 - 3uc*X + u^2 + c^2
     and the child (u, c, w) solves it exactly when v*w == u^2 + c^2 (Vieta):
     by induction from the literal root, every triple is checked exactly.  A
-    failed check or a triple count other than the plan raises InvariantError.
+    number becomes decimal once, in the row it is the new maximum of (None with
+    decimal=False).  InvariantError on a failed check, a count off plan or a repeat.
     """
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
@@ -90,28 +91,29 @@ def _tree_levels(depth: int, budget: int | None):
         raise BudgetExceededError(
             f"a Markov tree of depth {depth} has {planned} triples, budget is {budget}"
         )
-    parents: dict[MarkovTriple, MarkovTriple | None] = {(1, 1, 1): None}
-    level = [(1, 1, 1)]
-    reached = 1
+    level = [(1, 1, 1, "1", "1", "1", None)]
+    rows = list(level)
     for _ in range(depth):
         nxt = []
-        for t in level:
-            a, b, c = t
+        for row in level:
+            a, b, c, sa, sb, sc, _ = row
+            t = (a, b, c)
             cc = c * c
-            for i, u in ((0, b), (1, a)) if a != b else ((0, b),):
+            for i, u, su in ((0, b, sb), (1, a, sa)) if a != b else ((0, b, sb),):
                 w = _flip(t, i)[i]
                 if not (w > c and t[i] * w == u * u + cc):
                     raise InvariantError(f"the move from {t} at {i} gave the non-solution {(u, c, w)}")
-                child = (u, c, w)
-                parents[child] = t
-                nxt.append(child)
-        reached += len(nxt)
+                nxt.append((u, c, w, su, sc, str(w) if decimal else None, row))
+        rows += nxt
         level = nxt
-    if len(parents) != planned or reached != planned:
+    # distinct triples differ within (a, b, c), so the sort never compares further
+    rows.sort()
+    repeats = sum(x[2] == y[2] and x[:3] == y[:3] for x, y in zip(rows, rows[1:]))
+    if len(rows) != planned or repeats:
         raise InvariantError(
-            f"the tree of depth {depth} reached {reached} triples, {len(parents)} distinct, not {planned}"
+            f"the tree of depth {depth} reached {len(rows)} triples, {repeats} repeated, not {planned}"
         )
-    return parents
+    return rows
 
 
 def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
@@ -122,39 +124,45 @@ def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
     gives 2**(d-1) + 1 triples; BudgetExceededError, before any work, when
     that exceeds `budget`.
     """
-    return sorted(_tree_levels(depth, budget))
+    return [row[:3] for row in _tree_rows(depth, budget, decimal=False)]
+
+
+# 1024 lowered the CLI's peak RSS further, but the next operations in one process ran ~2% slower
+_CHUNK_LINES = 4096
+
+
+def _tree_json_chunks(depth: int, budget: int | None):
+    """markov_tree_json in pieces of _CHUNK_LINES triples; every check runs before the first."""
+    rows = _tree_rows(depth, budget)
+    yield f'{{"depth": {depth}, "triples": ['
+    for k in range(0, len(rows), _CHUNK_LINES):
+        if k:
+            yield ", "
+        yield ", ".join([f"[{r[3]}, {r[4]}, {r[5]}]" for r in rows[k : k + _CHUNK_LINES]])
+    yield "]}"
+
+
+def _tree_dot_chunks(depth: int, budget: int | None):
+    """markov_tree_dot in pieces of _CHUNK_LINES lines; every check runs before the first."""
+    rows = _tree_rows(depth, budget)
+    yield "digraph markov {\n"
+    for k in range(0, len(rows), _CHUNK_LINES):
+        yield "".join([f'  "{r[3]},{r[4]},{r[5]}";\n' for r in rows[k : k + _CHUNK_LINES]])
+    # (1, 1, 1), the least triple, is the only one without a parent
+    for k in range(1, len(rows), _CHUNK_LINES):
+        batch = rows[k : k + _CHUNK_LINES]
+        yield "".join([f'  "{p[3]},{p[4]},{p[5]}" -> "{x},{y},{z}";\n' for _, _, _, x, y, z, p in batch])
+    yield "}\n"
 
 
 def markov_tree_json(depth: int, budget: int | None = None) -> str:
-    """json.dumps of {"depth": depth, "triples": [[a, b, c], ...]}, byte for byte.
-
-    Every Markov number is the maximum of the triple that introduced it, so
-    each is turned into decimal once; the rows fill one template.
-    """
-    order = markov_tree(depth, budget)
-    dec = {t[2]: str(t[2]) for t in order}
-    rows = ", ".join([f"[{dec[a]}, {dec[b]}, {dec[c]}]" for a, b, c in order])
-    return f'{{"depth": {depth}, "triples": [{rows}]}}'
+    """json.dumps of {"depth": depth, "triples": [[a, b, c], ...]}, byte for byte."""
+    return "".join(_tree_json_chunks(depth, budget))
 
 
 def markov_tree_dot(depth: int, budget: int | None = None) -> str:
-    """The same tree as a DOT digraph, parent pointing at child.
-
-    Each Markov number is turned into decimal once, as in `markov_tree_json`,
-    each node name is built once, and the lines are joined once.
-    """
-    parents = _tree_levels(depth, budget)
-    order = sorted(parents)
-    dec = {t[2]: str(t[2]) for t in order}
-    names = dict(zip(order, [f'"{dec[a]},{dec[b]},{dec[c]}"' for a, b, c in order]))
-    del dec
-    lines = ["digraph markov {"]
-    lines += [f"  {names[t]};" for t in order]
-    # (1, 1, 1), the least triple, is the only one without a parent
-    lines += [f"  {names[parents[child]]} -> {names[child]};" for child in order[1:]]
-    lines.append("}\n")
-    del parents, order, names
-    return "\n".join(lines)
+    """The same tree as a DOT digraph, parent pointing at child."""
+    return "".join(_tree_dot_chunks(depth, budget))
 
 
 def _check_word(word) -> tuple[int, ...]:

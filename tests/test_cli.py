@@ -441,6 +441,55 @@ def test_markov_tree_budget_env(capsys, monkeypatch):
     assert run(["markov-tree", "--depth", "4"]) == 0
 
 
+@pytest.mark.parametrize("depth", range(17))
+def test_markov_tree_streams_the_library_strings(capsys, depth):
+    from cayleycubic.markov import markov_tree_dot, markov_tree_json
+
+    assert run(["markov-tree", "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out == markov_tree_json(depth) + "\n"
+    assert run(["markov-tree", "--depth", str(depth), "--format", "dot"]) == 0
+    assert capsys.readouterr().out == markov_tree_dot(depth)
+
+
+def test_markov_tree_failed_check_writes_nothing(capsys, monkeypatch):
+    from cayleycubic import markov
+
+    flip = markov._flip
+
+    def off_flip(t, i):
+        # (2, 5, 29) at 1 leads to (2, 29, 169); make it 170
+        out = flip(t, i)
+        return (2, 170, 29) if (t, i) == ((2, 5, 29), 1) else out
+
+    monkeypatch.setattr(markov, "_flip", off_flip)
+    for fmt in ("json", "dot"):
+        code = run(["markov-tree", "--depth", "4", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "non-solution" in captured.err
+
+
+def test_markov_tree_reader_closing_mid_output_exits_1_quietly():
+    # the tree streams in chunks, so the pipe can break after the first bytes went out
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cayleycubic", "markov-tree", "--depth", "16", "--format", "dot"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(80)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 1
+    assert head.startswith(b'digraph markov {\n  "1,1,1";\n')
+    assert err == b""
+
+
 def test_continuant_kinds(capsys):
     run(["continuant", "--word", "2,1,1"])
     assert json.loads(capsys.readouterr().out) == {"word": [2, 1, 1], "kind": "full", "value": 5}

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -126,6 +127,19 @@ def test_markov_tree_matches_neighbor_bfs(depth):
     assert markov_tree_dot(depth) == reference_tree_dot(seen, parents)
     # the JSON writer against json.dumps of the reference triples
     assert markov_tree_json(depth) == json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.11")
+def test_markov_tree_formats_no_decimals():
+    # depth 16 reaches a 1005-digit Markov number: only the writers turn it into decimal
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert len(markov_tree(16)) == 2**15 + 1
+        with pytest.raises(ValueError):
+            markov_tree_json(16)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_markov_tree_size_closed_form():
