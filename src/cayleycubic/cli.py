@@ -63,11 +63,9 @@ def _word_arg(text: str) -> tuple[int, ...]:
     return _parse_ints(text, "word")
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(text)
+def _emit(args, as_json, as_text) -> None:
+    """Print the one form --format selects; each form is a zero-argument callable returning a str."""
+    print(as_json() if args.format == "json" else as_text())
 
 
 def _budget(args) -> int | None:
@@ -86,52 +84,49 @@ def _notes(args) -> None:
 
 def _cmd_verify(args) -> int:
     t = tr.Triple(args.s, *args.triple)
-    payload = {
-        "s": t.s,
-        "triple": list(t.components),
-        "value": t.value,
-        "solution": t.is_solution,
-    }
-    _emit(args, payload, f"value {t.value}: {'solution' if t.is_solution else 'not a solution'}")
+    _emit(
+        args,
+        lambda: json.dumps({"s": t.s, "triple": list(t.components), "value": t.value, "solution": t.is_solution}),
+        lambda: f"value {t.value}: {'solution' if t.is_solution else 'not a solution'}",
+    )
     return 0 if t.is_solution else 1
 
 
 def _cmd_family(args) -> int:
     t = tr.family_triple(args.s, args.b, args.n, args.m)
-    payload = {
-        "s": args.s,
-        "b": args.b,
-        "n": args.n,
-        "m": args.m,
-        "triple": list(t.components),
-        "value": t.value,
-    }
-    _emit(args, payload, "{},{},{}".format(*t.components))
+    payload = {"s": args.s, "b": args.b, "n": args.n, "m": args.m}
+    _emit(
+        args,
+        lambda: json.dumps({**payload, "triple": list(t.components), "value": t.value}),
+        lambda: "{},{},{}".format(*t.components),
+    )
     return 0
 
 
 def _cmd_graph(args) -> int:
     seed = tr.Triple(args.s, *args.seed)
     g = tr.solution_graph(seed, args.bound)
-    if args.format == "dot":
-        print(g.to_dot(), end="")
-    else:
-        print(g.to_json())
+    # solution_graph has run every check: a refused graph writes nothing
+    sys.stdout.writelines(g._chunks(dot=args.format == "dot"))
+    if args.format == "json":
+        sys.stdout.write("\n")
     return 0
 
 
 def _cmd_reduce(args) -> int:
     t = tr.Triple(args.s, *args.triple)
     trace = tr.reduction_trace(t)
-    term = trace[-1]
-    payload = {
-        "s": t.s,
-        "trace": [list(x.components) for x in trace],
-        "terminal": list(term.components),
-        "base": tr.is_base(term),
-        "singular": tr.is_singular(term),
-    }
-    _emit(args, payload, "\n".join("{},{},{}".format(*x.components) for x in trace))
+    # a step replaces one component, so each value sits in up to three triples: format it once
+    comps = [x.components for x in trace]
+    text = tr._decimal_table(comps)
+
+    def as_json() -> str:
+        # json.dumps of {"s", "trace", "terminal", "base", "singular"}, byte for byte
+        rows = [f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in comps]
+        flags = f'"base": {json.dumps(tr.is_base(trace[-1]))}, "singular": {json.dumps(tr.is_singular(trace[-1]))}'
+        return f'{{"s": {t.s}, "trace": [{", ".join(rows)}], "terminal": {rows[-1]}, {flags}}}'
+
+    _emit(args, as_json, lambda: "\n".join([f"{text[a]},{text[b]},{text[c]}" for a, b, c in comps]))
     return 0
 
 
@@ -142,13 +137,13 @@ def _cmd_pell_one(args) -> int:
         "d": inst.d,
         "rhs": inst.rhs,
         "form": inst.form,
-        "solutions": [[z, a] for z, a in sols],
+        "solutions": sols,
         "provenance": "chain-family-one",
         "convention": {"companion_index": "n-1"},
         "s": args.s,
         "y": args.y,
     }
-    _emit(args, payload, "\n".join(f"{z},{a}" for z, a in sols))
+    _emit(args, lambda: json.dumps(payload), lambda: "\n".join(f"{z},{a}" for z, a in sols))
     return 0
 
 
@@ -159,14 +154,14 @@ def _cmd_pell_two(args) -> int:
         "d": inst.d,
         "rhs": inst.rhs,
         "form": inst.form,
-        "solutions": [[z, a] for z, a in sols],
+        "solutions": sols,
         "provenance": "chain-family-two",
         "convention": {"difference_scale": "s/2"},
         "s": args.s,
         "p": args.p,
         "n": args.n,
     }
-    _emit(args, payload, "\n".join(f"{z},{a}" for z, a in sols))
+    _emit(args, lambda: json.dumps(payload), lambda: "\n".join(f"{z},{a}" for z, a in sols))
     return 0
 
 
@@ -177,10 +172,10 @@ def _cmd_pell_oracle(args) -> int:
         "d": inst.d,
         "rhs": inst.rhs,
         "form": inst.form,
-        "solutions": [[z, a] for z, a in sols],
+        "solutions": sols,
         "provenance": f"exhaustive-scan(z<={args.bound})",
     }
-    _emit(args, payload, "\n".join(f"{z},{a}" for z, a in sols))
+    _emit(args, lambda: json.dumps(payload), lambda: "\n".join(f"{z},{a}" for z, a in sols))
     return 0
 
 
@@ -223,7 +218,7 @@ def _cmd_continuant(args) -> int:
     else:
         value = mk.continuant(word)
         kind = "full"
-    _emit(args, {"word": list(word), "kind": kind, "value": value}, str(value))
+    _emit(args, lambda: json.dumps({"word": list(word), "kind": kind, "value": value}), lambda: str(value))
     return 0
 
 

@@ -15,6 +15,7 @@ from itertools import product
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _recurrence
+from .triples import _CHUNK_LINES
 
 __all__ = [
     "MarkovTriple",
@@ -125,10 +126,6 @@ def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
     that exceeds `budget`.
     """
     return [row[:3] for row in _tree_rows(depth, budget, decimal=False)]
-
-
-# 1024 lowered the CLI's peak RSS further, but the next operations in one process ran ~2% slower
-_CHUNK_LINES = 4096
 
 
 def _tree_json_chunks(depth: int, budget: int | None):

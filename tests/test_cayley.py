@@ -479,6 +479,7 @@ def test_chain_values_refuses_a_chain_that_does_not_increase():
     "g",
     [
         solution_graph(family_triple(2, 4, 10, 13), 10**40),
+        solution_graph(family_triple(2, 4, 0, 1), 10**100),  # past one chunk of vertices and of edges
         solution_graph(family_triple(1, 5, 0, 1), 10**30),
         solution_graph(Triple(3, 3, 6, 6), 300),
         solution_graph(Triple(12, 13, 15, 20), 100),  # empty frontier

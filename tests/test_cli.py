@@ -6,7 +6,23 @@ import sys
 
 import pytest
 
-from cayleycubic import family_triple, reduction_trace, solution_graph, Triple
+from cayleycubic import (
+    Triple,
+    continuant,
+    continuant_drop_last,
+    continuant_interior,
+    family_one_instance,
+    family_triple,
+    family_two_instance,
+    is_base,
+    is_singular,
+    pell_family_one_members,
+    pell_family_two,
+    pell_oracle,
+    PellInstance,
+    reduction_trace,
+    solution_graph,
+)
 from cayleycubic.cli import run
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.11
@@ -96,12 +112,145 @@ def test_reduce_accepts_components_past_the_digit_limit(capsys):
     t = family_triple(3, 6, 8000, 4000)
     with unlimited_digits():
         arg = "{},{},{}".format(*t.components)
-        expect = "".join("{},{},{}\n".format(*x.components) for x in reduction_trace(t))
+        payload, text = reduce_forms(3, t.components)
     assert len(arg) > 3 * 4300
     assert run(["reduce", "--s", "3", "--triple", arg, "--format", "text"]) == 0
     out = capsys.readouterr().out
-    assert out == expect
+    assert out == text + "\n"
     assert out.endswith("\n3,{0},{0}\n".format(family_triple(3, 6, 4000, 0).a))
+    assert run(["reduce", "--s", "3", "--triple", arg, "--format", "json"]) == 0
+    with unlimited_digits():
+        assert capsys.readouterr().out == json.dumps(payload) + "\n"
+
+
+# Reference forms of each command: json.dumps of the payload built from library
+# values, and the joined text lines. The CLI prints exactly the one --format selects.
+
+
+def verify_forms(s, triple):
+    t = Triple(s, *triple)
+    payload = {"s": s, "triple": list(triple), "value": t.value, "solution": t.is_solution}
+    return payload, f"value {t.value}: {'solution' if t.is_solution else 'not a solution'}"
+
+
+def family_forms(s, b, n, m):
+    t = family_triple(s, b, n, m)
+    payload = {"s": s, "b": b, "n": n, "m": m, "triple": list(t.components), "value": t.value}
+    return payload, "{},{},{}".format(*t.components)
+
+
+def reduce_forms(s, triple):
+    trace = reduction_trace(Triple(s, *triple))
+    term = trace[-1]
+    payload = {
+        "s": s,
+        "trace": [list(x.components) for x in trace],
+        "terminal": list(term.components),
+        "base": is_base(term),
+        "singular": is_singular(term),
+    }
+    return payload, "\n".join("{},{},{}".format(*x.components) for x in trace)
+
+
+def pell_forms(inst, sols, **rest):
+    payload = {"d": inst.d, "rhs": inst.rhs, "form": inst.form, "solutions": [[z, a] for z, a in sols], **rest}
+    return payload, "\n".join(f"{z},{a}" for z, a in sols)
+
+
+def continuant_forms(word, kind, fn):
+    return {"word": list(word), "kind": kind, "value": fn(word)}, str(fn(word))
+
+
+LONG_CHAIN = family_triple(2, 4, 40, 39).components  # 40 reduction steps, values of ~40 digits
+EMIT_CASES = [
+    (["verify", "--s", "3", "--triple", "21,4053,291"], 0, lambda: verify_forms(3, (21, 4053, 291))),
+    (["verify", "--s", "3", "--triple", "1,2,3"], 1, lambda: verify_forms(3, (1, 2, 3))),
+    (["family", "--s", "3", "--b", "6", "--n", "2", "--m", "4"], 0, lambda: family_forms(3, 6, 2, 4)),
+    (["family", "--s", "1", "--b", "2", "--n", "0", "--m", "3"], 0, lambda: family_forms(1, 2, 0, 3)),
+    # a base terminal after two steps
+    (["reduce", "--s", "3", "--triple", "21,4053,291"], 0, lambda: reduce_forms(3, (21, 4053, 291))),
+    (["reduce", "--s", "2", "--triple", ",".join(map(str, LONG_CHAIN))], 0, lambda: reduce_forms(2, LONG_CHAIN)),
+    # singular terminals, (1, 1, 1) also base, and zero steps
+    (["reduce", "--s", "1", "--triple", "1,1,1"], 0, lambda: reduce_forms(1, (1, 1, 1))),
+    (["reduce", "--s", "8", "--triple", "6,1,6"], 0, lambda: reduce_forms(8, (6, 1, 6))),
+    # neither base nor singular, zero steps
+    (["reduce", "--s", "3", "--triple", "4,11,24"], 0, lambda: reduce_forms(3, (4, 11, 24))),
+    (
+        ["pell-one", "--s", "3", "--y", "6", "--count", "5"],
+        0,
+        lambda: pell_forms(
+            family_one_instance(3, 6),
+            pell_family_one_members(3, 6, 5),
+            provenance="chain-family-one",
+            convention={"companion_index": "n-1"},
+            s=3,
+            y=6,
+        ),
+    ),
+    (
+        ["pell-one", "--s", "2", "--y", "4", "--count", "0"],
+        0,
+        lambda: pell_forms(
+            family_one_instance(2, 4), [], provenance="chain-family-one", convention={"companion_index": "n-1"}, s=2, y=4
+        ),
+    ),
+    (
+        ["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", "3"],
+        0,
+        lambda: pell_forms(
+            family_two_instance(1, 4, 2),
+            [pell_family_two(1, 4, 2, m) for m in (1, 2, 3)],
+            provenance="chain-family-two",
+            convention={"difference_scale": "s/2"},
+            s=1,
+            p=4,
+            n=2,
+        ),
+    ),
+    (
+        ["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30"],
+        0,
+        lambda: pell_forms(
+            PellInstance(3, 1, "z2-da2"), pell_oracle(PellInstance(3, 1, "z2-da2"), 30), provenance="exhaustive-scan(z<=30)"
+        ),
+    ),
+    # no solutions: the text form is empty
+    (
+        ["pell-oracle", "--d", "3", "--rhs", "2", "--bound", "30"],
+        0,
+        lambda: pell_forms(PellInstance(3, 2, "z2-da2"), [], provenance="exhaustive-scan(z<=30)"),
+    ),
+    (["continuant", "--word", "2,1,1,3"], 0, lambda: continuant_forms((2, 1, 1, 3), "full", continuant)),
+    (
+        ["continuant", "--word", "2,1,1,3", "--drop-last"],
+        0,
+        lambda: continuant_forms((2, 1, 1, 3), "drop-last", continuant_drop_last),
+    ),
+    (
+        ["continuant", "--word", "2,1,1,3", "--interior"],
+        0,
+        lambda: continuant_forms((2, 1, 1, 3), "interior", continuant_interior),
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, code, forms", EMIT_CASES, ids=[" ".join(c[0])[:50] for c in EMIT_CASES])
+def test_emit_prints_the_selected_form(capsys, argv, code, forms, fmt):
+    payload, text = forms()
+    assert run(["--no-note-corrections"] + argv + ["--format", fmt]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (json.dumps(payload) if fmt == "json" else text) + "\n"
+    assert captured.err == ""
+
+
+def test_family_text_computes_no_surface_value(capsys, monkeypatch):
+    def no_value(self):
+        raise AssertionError("the text form prints no surface value")
+
+    monkeypatch.setattr(Triple, "value", property(no_value))
+    assert run(["family", "--s", "3", "--b", "6", "--n", "2", "--m", "4", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "21,4053,291\n"
 
 
 @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="Python < 3.11 has no int/str digit limit")
@@ -142,7 +291,57 @@ def test_graph_rejects_non_solution_seed(capsys):
     code = run(["graph", "--s", "3", "--seed", "1,2,3", "--bound", "100"])
     captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_graph_refuses_a_bound_below_the_seed_before_any_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["graph", "--s", "2", "--seed", "2,4,4", "--bound", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "bound must cover" in captured.err
+
+
+@pytest.mark.parametrize(
+    "s, seed, bound",
+    [
+        (2, (2, 4, 4), 10**60),  # a chain seed, read in index space
+        (2, (2, 4, 4), 10**100),  # 4626 vertices and 4625 edges: two chunks of each
+        (7, (8, 17, 28), 10**30),  # value space
+        (1, (1, 1, 1), 10),  # one vertex, no edges
+    ],
+    ids=["chain", "chain-two-chunks", "value-space", "one-vertex"],
+)
+def test_graph_streams_the_library_strings(capsys, s, seed, bound):
+    g = solution_graph(Triple(s, *seed), bound)
+    argv = ["graph", "--s", str(s), "--seed", ",".join(map(str, seed)), "--bound", str(bound)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == g.to_json() + "\n"
+    assert run(argv + ["--format", "dot"]) == 0
+    assert capsys.readouterr().out == g.to_dot()
+
+
+def test_graph_reader_closing_mid_output_exits_1_quietly():
+    # the graph streams in chunks, so the pipe can break after the first bytes went out
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cayleycubic", "--no-note-corrections", "graph", "--s", "1", "--seed", "1,2,2"]
+        + ["--bound", str(10**100), "--format", "dot"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(80)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 1
+    assert head.startswith(b'graph cayley {\n  "1,2,2";\n')
+    assert err == b""
 
 
 def test_reduce_json(capsys):
