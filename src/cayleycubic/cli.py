@@ -35,14 +35,6 @@ CORRECTION_NOTES = {
     ),
 }
 
-NOTES_BY_COMMAND = {
-    "family": ("chebyshev",),
-    "graph": ("chebyshev",),
-    "pell-one": ("chebyshev", "pell-one-index"),
-    "pell-two": ("chebyshev", "pell-two-scale"),
-}
-
-
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -68,18 +60,34 @@ def _emit(args, as_json, as_text) -> None:
     print(as_json() if args.format == "json" else as_text())
 
 
+def _stream(args, chunks) -> None:
+    """Write an output's chunks as they come; a JSON document ends with a newline."""
+    sys.stdout.writelines(chunks)
+    if args.format == "json":
+        sys.stdout.write("\n")
+
+
+def _emit_pell(args, inst, sols, provenance, **params) -> None:
+    payload = {"d": inst.d, "rhs": inst.rhs, "form": inst.form, "solutions": sols, "provenance": provenance, **params}
+    _emit(args, lambda: json.dumps(payload), lambda: "\n".join(f"{z},{a}" for z, a in sols))
+
+
 def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("CAYLEY_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CAYLEY_BUDGET must be an integer, got {env!r}") from None
 
 
 def _notes(args) -> None:
-    if not args.note_corrections:
-        return
-    for key in NOTES_BY_COMMAND.get(args.command, ()):
-        print(CORRECTION_NOTES[key], file=sys.stderr)
+    if args.note_corrections:
+        for key in args.notes:
+            print(CORRECTION_NOTES[key], file=sys.stderr)
 
 
 def _cmd_verify(args) -> int:
@@ -104,12 +112,9 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    seed = tr.Triple(args.s, *args.seed)
-    g = tr.solution_graph(seed, args.bound)
+    g = tr.solution_graph(tr.Triple(args.s, *args.seed), args.bound)
     # solution_graph has run every check: a refused graph writes nothing
-    sys.stdout.writelines(g._chunks(dot=args.format == "dot"))
-    if args.format == "json":
-        sys.stdout.write("\n")
+    _stream(args, g._chunks(dot=args.format == "dot"))
     return 0
 
 
@@ -133,92 +138,51 @@ def _cmd_reduce(args) -> int:
 def _cmd_pell_one(args) -> int:
     inst = pl.family_one_instance(args.s, args.y)
     sols = pl.pell_family_one_members(args.s, args.y, args.count)
-    payload = {
-        "d": inst.d,
-        "rhs": inst.rhs,
-        "form": inst.form,
-        "solutions": sols,
-        "provenance": "chain-family-one",
-        "convention": {"companion_index": "n-1"},
-        "s": args.s,
-        "y": args.y,
-    }
-    _emit(args, lambda: json.dumps(payload), lambda: "\n".join(f"{z},{a}" for z, a in sols))
+    _emit_pell(args, inst, sols, "chain-family-one", convention={"companion_index": "n-1"}, s=args.s, y=args.y)
     return 0
 
 
 def _cmd_pell_two(args) -> int:
     inst = pl.family_two_instance(args.s, args.p, args.n)
     sols = [pl.pell_family_two(args.s, args.p, args.n, m) for m in range(1, args.count + 1)]
-    payload = {
-        "d": inst.d,
-        "rhs": inst.rhs,
-        "form": inst.form,
-        "solutions": sols,
-        "provenance": "chain-family-two",
-        "convention": {"difference_scale": "s/2"},
-        "s": args.s,
-        "p": args.p,
-        "n": args.n,
-    }
-    _emit(args, lambda: json.dumps(payload), lambda: "\n".join(f"{z},{a}" for z, a in sols))
+    params = {"convention": {"difference_scale": "s/2"}, "s": args.s, "p": args.p, "n": args.n}
+    _emit_pell(args, inst, sols, "chain-family-two", **params)
     return 0
 
 
 def _cmd_pell_oracle(args) -> int:
     inst = pl.PellInstance(args.d, args.rhs, args.form)
     sols = pl.pell_oracle(inst, args.bound, include_zero=args.include_zero, budget=_budget(args))
-    payload = {
-        "d": inst.d,
-        "rhs": inst.rhs,
-        "form": inst.form,
-        "solutions": sols,
-        "provenance": f"exhaustive-scan(z<={args.bound})",
-    }
-    _emit(args, lambda: json.dumps(payload), lambda: "\n".join(f"{z},{a}" for z, a in sols))
+    _emit_pell(args, inst, sols, f"exhaustive-scan(z<={args.bound})")
     return 0
 
 
 def _cmd_search(args) -> int:
     sols = sr.enumerate_solutions(args.s, args.bound, budget=_budget(args))
-    if args.format == "csv":
-        print(sr.triples_to_csv(sols), end="")
-    else:
-        print(sr.triples_to_jsonl(sols), end="")
+    write = sr.triples_to_csv if args.format == "csv" else sr.triples_to_jsonl
+    _stream(args, [write(sols)])
     return 0
 
 
 def _cmd_classify(args) -> int:
     rows = sr.classify(args.s, args.bound, budget=_budget(args))
-    if args.format == "csv":
-        print(sr.classifications_to_csv(rows), end="")
-    else:
-        print(sr.classifications_to_jsonl(rows), end="")
+    write = sr.classifications_to_csv if args.format == "csv" else sr.classifications_to_jsonl
+    _stream(args, [write(rows)])
     return 0
 
 
 def _cmd_markov_tree(args) -> int:
+    chunks = mk._tree_dot_chunks if args.format == "dot" else mk._tree_json_chunks
     # every check runs before the first chunk: a refused or failed tree writes nothing
-    if args.format == "dot":
-        sys.stdout.writelines(mk._tree_dot_chunks(args.depth, _budget(args)))
-    else:
-        sys.stdout.writelines(mk._tree_json_chunks(args.depth, _budget(args)))
-        sys.stdout.write("\n")
+    _stream(args, chunks(args.depth, _budget(args)))
     return 0
 
 
 def _cmd_continuant(args) -> int:
-    word = args.word
-    if args.interior:
-        value = mk.continuant_interior(word)
-        kind = "interior"
-    elif args.drop_last:
-        value = mk.continuant_drop_last(word)
-        kind = "drop-last"
-    else:
-        value = mk.continuant(word)
-        kind = "full"
-    _emit(args, lambda: json.dumps({"word": list(word), "kind": kind, "value": value}), lambda: str(value))
+    # built per call from mk, not at import: the function bound in mk when the command runs is called
+    kinds = {"full": mk.continuant, "drop-last": mk.continuant_drop_last, "interior": mk.continuant_interior}
+    value = kinds[args.kind](args.word)
+    _emit(args, lambda: json.dumps({"word": list(args.word), "kind": args.kind, "value": value}), lambda: str(value))
     return 0
 
 
@@ -242,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="print convention notes for operations with known formula pitfalls (stderr)",
     )
+    parser.set_defaults(notes=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     def fmt(p, choices, default):
@@ -259,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     fmt(p, ("json", "text"), "text")
-    p.set_defaults(func=_cmd_family)
+    p.set_defaults(func=_cmd_family, notes=("chebyshev",))
 
     p = sub.add_parser("graph", help="bounded conjugation closure of a seed solution")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--seed", type=_triple_arg, required=True)
     p.add_argument("--bound", type=int, required=True)
     fmt(p, ("json", "dot"), "json")
-    p.set_defaults(func=_cmd_graph)
+    p.set_defaults(func=_cmd_graph, notes=("chebyshev",))
 
     p = sub.add_parser("reduce", help="shrink a solution by conjugating its maximum")
     p.add_argument("--s", type=int, required=True)
@@ -279,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--count", type=int, default=6, help="emit solutions for n = 1..count")
     fmt(p, ("json", "text"), "json")
-    p.set_defaults(func=_cmd_pell_one)
+    p.set_defaults(func=_cmd_pell_one, notes=("chebyshev", "pell-one-index"))
 
     p = sub.add_parser("pell-two", help="solutions of a^2 - d*z^2 = -s^2*d from chain differences")
     p.add_argument("--s", type=int, required=True)
@@ -287,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=3, help="emit solutions for m = 1..count")
     fmt(p, ("json", "text"), "json")
-    p.set_defaults(func=_cmd_pell_two)
+    p.set_defaults(func=_cmd_pell_two, notes=("chebyshev", "pell-two-scale"))
 
     p = sub.add_parser("pell-oracle", help="exhaustive scan for Pell solutions up to a bound")
     p.add_argument("--d", type=int, required=True)
@@ -322,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continuant", help="continuant of a word, optionally with ends dropped")
     p.add_argument("--word", type=_word_arg, required=True)
-    p.add_argument("--drop-last", action="store_true")
-    p.add_argument("--interior", action="store_true")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--drop-last", dest="kind", action="store_const", const="drop-last")
+    kind.add_argument("--interior", dest="kind", action="store_const", const="interior")
     fmt(p, ("json", "text"), "json")
-    p.set_defaults(func=_cmd_continuant)
+    p.set_defaults(func=_cmd_continuant, kind="full")
 
     p = sub.add_parser("r-match", help="search for chain/continuant sequence overlaps")
     p.add_argument("--max-entry", type=int, default=3)
@@ -357,7 +323,6 @@ def run(argv: list[str] | None = None) -> int:
         except KeyboardInterrupt:
             print("error: interrupted", file=sys.stderr)
             return 1
-        return 0
     finally:
         if previous is not None:
             sys.set_int_max_str_digits(previous)

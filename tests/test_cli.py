@@ -23,7 +23,7 @@ from cayleycubic import (
     reduction_trace,
     solution_graph,
 )
-from cayleycubic.cli import run
+from cayleycubic.cli import CORRECTION_NOTES, run
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.11
 
@@ -573,6 +573,16 @@ def test_search_budget_env(capsys, monkeypatch):
     assert code == 0
 
 
+def test_search_budget_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("CAYLEY_BUDGET", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--s", "1", "--bound", "100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CAYLEY_BUDGET must be an integer, got 'abc'\n"
+
+
 def test_classify_csv_header(capsys):
     run(["classify", "--s", "12", "--bound", "40", "--format", "csv"])
     lines = capsys.readouterr().out.splitlines()
@@ -700,6 +710,15 @@ def test_continuant_kinds(capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_continuant_kind_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["continuant", "--word", "2,1,1,3", "--drop-last", "--interior"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--interior: not allowed with argument --drop-last" in captured.err
+
+
 def test_continuant_empty_word_drop_last_fails():
     with pytest.raises(SystemExit) as exc:
         run(["continuant", "--word", "", "--drop-last"])
@@ -731,6 +750,32 @@ def test_r_match_budget(capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
     monkeypatch.setenv("CAYLEY_BUDGET", "24")
     assert run(argv) == 0
+
+
+# one short line per subcommand, with the convention notes it prints on stderr, in order
+NOTE_CASES = [
+    (["verify", "--s", "1", "--triple", "1,1,1"], ()),
+    (["family", "--s", "3", "--b", "6", "--n", "2", "--m", "4"], ("chebyshev",)),
+    (["graph", "--s", "2", "--seed", "2,4,4", "--bound", "1000"], ("chebyshev",)),
+    (["reduce", "--s", "1", "--triple", "2,26,7"], ()),
+    (["pell-one", "--s", "1", "--y", "2", "--count", "2"], ("chebyshev", "pell-one-index")),
+    (["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", "2"], ("chebyshev", "pell-two-scale")),
+    (["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30"], ()),
+    (["search", "--s", "1", "--bound", "5"], ()),
+    (["classify", "--s", "1", "--bound", "5"], ()),
+    (["markov-tree", "--depth", "2"], ()),
+    (["continuant", "--word", "2,1,1"], ()),
+    (["r-match", "--max-entry", "2", "--max-block", "2", "--terms", "3"], ()),
+]
+
+
+@pytest.mark.parametrize("corrections", [True, False], ids=["notes", "no-notes"])
+@pytest.mark.parametrize("argv, keys", NOTE_CASES, ids=[c[0][0] for c in NOTE_CASES])
+def test_notes_on_stderr(capsys, argv, keys, corrections):
+    flag = [] if corrections else ["--no-note-corrections"]
+    assert run(flag + argv) == 0
+    want = "".join(CORRECTION_NOTES[key] + "\n" for key in keys) if corrections else ""
+    assert capsys.readouterr().err == want
 
 
 def test_usage_errors():
