@@ -4,8 +4,9 @@ Exhaustive search and classification within a bound
 
 For a fixed s, every solution with components <= bound can be found by
 solving the component quadratic in c for the pairs (a, b) whose product
-(a^2 - s^2)(b^2 - s^2) is a square: b^2 - s^2 must lie in the square class
-of a^2 - s^2, so only those b are tried.  The rows are then tagged: chain
+(a^2 - s^2)(b^2 - s^2) is a square: both factors must lie in one signed
+square class, so the values are grouped by class and only pairs within a
+class are tried.  The rows are then tagged: chain
 members, base triples, isolated points, and triples whose only moves leave
 the bound.
 """

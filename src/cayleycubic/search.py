@@ -3,11 +3,11 @@
 Enumeration fixes the two smallest components a <= b and solves the
 quadratic in the largest one.  It has a rational root only when
 (a^2 - s^2)(b^2 - s^2) is a square, that is when both factors lie in the
-same square class f (their squarefree part), so for each a only the b with
-b^2 - s^2 = +-f*w^2 are visited: about B*log(B)^2 candidates for a bound B
-instead of the B^2/2 pairs of the (a, b) grid.  The search stays exhaustive
-and runs in one process: the work per a falls off like B/a, so equal spans
-of a never split it.  Classification then connects the enumerated solutions
+same signed square class (+- their squarefree part).  So one O(B) pass
+gives each x <= B its class, and only the pairs within a class are tried:
+about B of them for a bound B (most classes hold one x), instead of the
+B^2/2 pairs of the (a, b) grid.  The search stays exhaustive and runs in
+one process.  Classification then connects the enumerated solutions
 by conjugation moves and tags each one, in one pass over the sorted list:
 a solution's reduction parent is enumerated and sorts before it, so its
 terminal base is its parent's, and its family is the positions of its
@@ -53,45 +53,45 @@ def _squarefree_cores(n: int) -> list[int]:
 
 
 def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
-    """Solutions (a, b, c) with 1 <= a <= b <= c <= bound.
+    """Solutions (a, b, c) with 1 <= a <= b <= c <= bound, in no set order.
 
     The quadratic in c has the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).
-    For a > s write a^2 - s^2 = f*g^2 with f squarefree: the product is a
-    square exactly when b^2 - s^2 = f*w^2, and then r = f*g*w, so only those
-    b are visited.  a = s gives the rows (s, b, b); for a < s only b < s can
-    give a root c >= b, and then s^2 - b^2 = f*w^2 with 1 <= w <= g.
+    With x^2 - s^2 = +-f*g^2, f squarefree, the product is a square exactly
+    when a and b share the signed class +-f, and then r = f*g_a*g_b.  So only
+    the pairs a <= b within a class are tried (a < s < b never is one), and
+    a = s gives the rows (s, b, b).
 
-    For a != s only (ab + r)/s is tried: the smaller root is below b.  For
-    a > s the quadratic at c = b, (s - a)(2b^2 - s(a + s)), is negative; for
-    a < s the smaller root is below the vertex ab/s < b.
+    Only (ab + r)/s is tried: the smaller root is below b.  For a > s the
+    quadratic at c = b, (s - a)(2b^2 - s(a + s)), is negative; for a < s
+    the smaller root is below the vertex ab/s < b.
     """
-    rows = []
-    # A solution has a^2 + b^2 + c^2 = s^2 + 2abc/s > s^2, so there is none
-    # when 3*bound^2 < s^2; returning here keeps the core table O(bound)
-    # however large s is.
+    # A solution has a^2 + b^2 + c^2 = s^2 + 2abc/s > s^2, so there is none when
+    # 3*bound^2 < s^2; returning here keeps the core table O(bound) however large s is.
     if s * s > 3 * bound * bound:
-        return rows
-    ss, bb = s * s, bound * bound
+        return []
+    rows = [(s, b, b) for b in range(s, bound + 1)]
     core = _squarefree_cores(bound + s)
-    for a in range(1, bound + 1):
-        if a == s:
-            rows.extend((s, b, b) for b in range(s, bound + 1))
+    # the signed class of x^2 - s^2; x = s (core[0] = 0) gets class 0
+    key = [0] * (bound + 1)
+    for x in range(1, bound + 1):
+        u, v = core[abs(x - s)], core[x + s]
+        f = u * v // gcd(u, v) ** 2
+        key[x] = f if x > s else -f
+    del core
+    ss = s * s
+    # the sort is stable: each class is one ascending run, and b pairs with
+    # every member so far, itself included
+    members, last = [], 0
+    for b in sorted(range(1, bound + 1), key=key.__getitem__):
+        sf = key[b]
+        if sf == 0:
             continue
-        u, v = core[abs(a - s)], core[a + s]
-        h = gcd(u, v)
-        f = (u // h) * (v // h)
-        g = isqrt(abs(a * a - ss) // f)
-        # b^2 - s^2 = sf*w^2 takes the sign of a^2 - s^2
-        if a > s:
-            sf, ws = f, range(g, isqrt((bb - ss) // f) + 1)
-        else:
-            sf, ws = -f, range(1, g + 1)
-        for w in ws:
-            b2 = ss + sf * w * w
-            b = isqrt(b2)
-            if b * b != b2:
-                continue
-            c, rem = divmod(a * b + f * g * w, s)
+        if sf != last:
+            members, last, f = [], sf, abs(sf)
+        gb = isqrt(abs(b * b - ss) // f)
+        members.append((b, gb))
+        for a, ga in members:
+            c, rem = divmod(a * b + f * ga * gb, s)
             if rem == 0 and b <= c <= bound:
                 rows.append((a, b, c))
     return rows
@@ -106,9 +106,9 @@ def enumerate_solutions(
     """All solutions with 1 <= a <= b <= c <= bound, canonical and sorted.
 
     The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of
-    the grid; the square-class scan visits far fewer, so the plan is an upper
-    bound on the work.  If a budget is given and the plan exceeds it, the
-    call fails up front rather than part-way.  The scan runs in this process.
+    the grid: an upper bound on the pairs the square-class join tries, about
+    bound of them.  If a budget is given and the plan exceeds it, the call
+    fails up front rather than part-way.  The join runs in this process.
     """
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")

@@ -72,6 +72,97 @@ def test_enumerate_pinned_against_grid_oracle(s, bound):
     assert [t.components for t in enumerate_solutions(s, bound)] == _grid_enumerate(s, bound)
 
 
+def _square_class_scan(s, bound):
+    """Reference oracle: for each a, scan the w of its square class.
+
+    The quadratic in c has the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).
+    For a > s write a^2 - s^2 = f*g^2 with f squarefree: the product is a
+    square exactly when b^2 - s^2 = f*w^2, and then r = f*g*w, so only those
+    b are visited.  a = s gives the rows (s, b, b); for a < s only b < s can
+    give a root c >= b, and then s^2 - b^2 = f*w^2 with 1 <= w <= g.
+    """
+    rows = []
+    if s * s > 3 * bound * bound:
+        return rows
+    ss, bb = s * s, bound * bound
+    core = sr._squarefree_cores(bound + s)
+    for a in range(1, bound + 1):
+        if a == s:
+            rows.extend((s, b, b) for b in range(s, bound + 1))
+            continue
+        u, v = core[abs(a - s)], core[a + s]
+        h = gcd(u, v)
+        f = (u // h) * (v // h)
+        g = isqrt(abs(a * a - ss) // f)
+        # b^2 - s^2 = sf*w^2 takes the sign of a^2 - s^2
+        if a > s:
+            sf, ws = f, range(g, isqrt((bb - ss) // f) + 1)
+        else:
+            sf, ws = -f, range(1, g + 1)
+        for w in ws:
+            b2 = ss + sf * w * w
+            b = isqrt(b2)
+            if b * b != b2:
+                continue
+            c, rem = divmod(a * b + f * g * w, s)
+            if rem == 0 and b <= c <= bound:
+                rows.append((a, b, c))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 50, 400, 2010])
+def test_enumerate_matches_square_class_scan(bound):
+    for s in [*range(1, 41), 48, 60, 100]:
+        got = [t.components for t in enumerate_solutions(s, bound)]
+        assert got == _square_class_scan(s, bound), (s, bound)
+
+
+@pytest.mark.parametrize(
+    "s, bound",
+    [
+        (1, 20000),
+        (7, 20000),
+        # the search shapes of the benchmark's scan workload
+        (1, 2020),
+        (12, 2004),
+        (24, 2018),
+        (16, 2500),
+        (11, 3004),
+        (37, 2518),
+    ],
+)
+def test_enumerate_pinned_against_square_class_scan(s, bound):
+    assert [t.components for t in enumerate_solutions(s, bound)] == _square_class_scan(s, bound)
+
+
+@pytest.mark.parametrize(
+    "s, row",
+    [
+        # a = b in the class +3: 2^2 - 1 = 3*1^2, r = 3, c = (4 + 3)/1
+        (1, (2, 2, 7)),
+        # a < s in the class -7: 3^2 - 24^2 = -7*9^2, 18^2 - 24^2 = -7*6^2,
+        # r = 7*9*6 = 378, c = (54 + 378)/24
+        (24, (3, 18, 18)),
+        # a < b in the class +1: 13^2 - 12^2 = 5^2, 15^2 - 12^2 = 9^2,
+        # r = 45, c = (195 + 45)/12
+        (12, (13, 15, 20)),
+    ],
+)
+def test_enumerate_finds_each_kind_of_class_pair(s, row):
+    assert Triple(s, *row).is_solution
+    assert row in [t.components for t in enumerate_solutions(s, row[2])]
+
+
+def test_enumerate_with_no_room_builds_no_core_table(monkeypatch):
+    def no_table(n):
+        raise RuntimeError(f"core table of {n} built")
+
+    monkeypatch.setattr(sr, "_squarefree_cores", no_table)
+    # 3*bound^2 < s^2: no solution fits, however large s is
+    assert enumerate_solutions(70, 40) == []
+    assert enumerate_solutions(10**9, 10) == []
+
+
 def test_enumerate_small_s5():
     got = [t.components for t in enumerate_solutions(5, 10)]
     assert got == [
