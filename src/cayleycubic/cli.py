@@ -172,9 +172,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_markov_tree(args) -> int:
-    chunks = mk._tree_dot_chunks if args.format == "dot" else mk._tree_json_chunks
     # every check runs before the first chunk: a refused or failed tree writes nothing
-    _stream(args, chunks(args.depth, _budget(args)))
+    _stream(args, mk._tree_chunks(args.depth, _budget(args), dot=args.format == "dot"))
     return 0
 
 

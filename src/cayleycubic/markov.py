@@ -63,9 +63,8 @@ def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
         raise ValueError(f"components must be positive integers, got {t}")
     if markov_value(*t) != 0:
         raise NotASolutionError(f"{t} does not solve the Markov equation")
+    # the two roots have product y^2 + z^2 > 0 and sum 3yz > 0 (Vieta), so both are positive
     result = _flip(t, index)
-    if result[index] < 1:
-        raise ValueError(f"replacement component {result[index]} is not positive")
     if markov_value(*result) != 0:
         raise InvariantError(f"the move from {t} at {index} gave the non-solution {result}")
     return result
@@ -128,9 +127,19 @@ def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
     return [row[:3] for row in _tree_rows(depth, budget, decimal=False)]
 
 
-def _tree_json_chunks(depth: int, budget: int | None):
-    """markov_tree_json in pieces of _CHUNK_LINES triples; every check runs before the first."""
+def _tree_chunks(depth: int, budget: int | None, dot: bool):
+    """markov_tree_dot() or markov_tree_json() in pieces of _CHUNK_LINES lines or triples; checks run before the first."""
     rows = _tree_rows(depth, budget)
+    if dot:
+        yield "digraph markov {\n"
+        for k in range(0, len(rows), _CHUNK_LINES):
+            yield "".join([f'  "{r[3]},{r[4]},{r[5]}";\n' for r in rows[k : k + _CHUNK_LINES]])
+        # (1, 1, 1), the least triple, is the only one without a parent
+        for k in range(1, len(rows), _CHUNK_LINES):
+            batch = rows[k : k + _CHUNK_LINES]
+            yield "".join([f'  "{p[3]},{p[4]},{p[5]}" -> "{x},{y},{z}";\n' for _, _, _, x, y, z, p in batch])
+        yield "}\n"
+        return
     yield f'{{"depth": {depth}, "triples": ['
     for k in range(0, len(rows), _CHUNK_LINES):
         if k:
@@ -139,27 +148,14 @@ def _tree_json_chunks(depth: int, budget: int | None):
     yield "]}"
 
 
-def _tree_dot_chunks(depth: int, budget: int | None):
-    """markov_tree_dot in pieces of _CHUNK_LINES lines; every check runs before the first."""
-    rows = _tree_rows(depth, budget)
-    yield "digraph markov {\n"
-    for k in range(0, len(rows), _CHUNK_LINES):
-        yield "".join([f'  "{r[3]},{r[4]},{r[5]}";\n' for r in rows[k : k + _CHUNK_LINES]])
-    # (1, 1, 1), the least triple, is the only one without a parent
-    for k in range(1, len(rows), _CHUNK_LINES):
-        batch = rows[k : k + _CHUNK_LINES]
-        yield "".join([f'  "{p[3]},{p[4]},{p[5]}" -> "{x},{y},{z}";\n' for _, _, _, x, y, z, p in batch])
-    yield "}\n"
-
-
 def markov_tree_json(depth: int, budget: int | None = None) -> str:
     """json.dumps of {"depth": depth, "triples": [[a, b, c], ...]}, byte for byte."""
-    return "".join(_tree_json_chunks(depth, budget))
+    return "".join(_tree_chunks(depth, budget, dot=False))
 
 
 def markov_tree_dot(depth: int, budget: int | None = None) -> str:
     """The same tree as a DOT digraph, parent pointing at child."""
-    return "".join(_tree_dot_chunks(depth, budget))
+    return "".join(_tree_chunks(depth, budget, dot=True))
 
 
 def _check_word(word) -> tuple[int, ...]:

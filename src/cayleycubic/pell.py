@@ -34,13 +34,6 @@ FORM_Z = "z2-da2"
 FORM_A = "a2-dz2"
 
 
-def _is_square(v: int) -> bool:
-    if v < 0:
-        return False
-    r = isqrt(v)
-    return r * r == v
-
-
 @dataclass(frozen=True)
 class PellInstance:
     """One equation: z^2 - d*a^2 = rhs (form z2-da2) or a^2 - d*z^2 = rhs (form a2-dz2)."""
@@ -50,7 +43,7 @@ class PellInstance:
     form: str = FORM_Z
 
     def __post_init__(self) -> None:
-        if self.d < 2 or _is_square(self.d):
+        if self.d < 2 or isqrt(self.d) ** 2 == self.d:
             raise DegeneratePellError(f"d must be >= 2 and non-square, got {self.d}")
         if self.form not in (FORM_Z, FORM_A):
             raise ValueError(f"form must be {FORM_Z!r} or {FORM_A!r}, got {self.form!r}")
@@ -138,16 +131,14 @@ def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
         raise ValueError(f"n must be >= 1, got {n}")
     xn, xm, top, low = _terms(_scaled_chain(s, p), n, m, n + m, abs(n - m))
     inst = _family_two_at(s, xn)
-    diff = s * (top - low)
-    if diff % 2:
-        raise ValueError(f"difference term {diff} is odd; no integer solution member")
-    sol = PellSolution(xm, diff // 2)
+    # s*(X_{n+m} - X_{|n-m|}) = 2*X_n*X_m - 2s*X_{|n-m|} by the product rule, so it is even
+    sol = PellSolution(xm, s * (top - low) // 2)
     if not inst.holds(*sol):
         raise InvariantError(f"chain difference solution {sol} fails {inst}")
     return sol
 
 
-def _oracle_range(d: int, rhs: int, form: str, include_zero: bool, lo: int, hi: int):
+def _oracle_range(d: int, rhs: int, form: str, lo: int, hi: int):
     out = []
     for z in range(lo, hi + 1):
         if form == FORM_Z:
@@ -162,11 +153,8 @@ def _oracle_range(d: int, rhs: int, form: str, include_zero: bool, lo: int, hi: 
             if a2 < 0:
                 continue
         a = isqrt(a2)
-        if a * a != a2:
-            continue
-        if a == 0 and not include_zero:
-            continue
-        out.append((z, a))
+        if a * a == a2:
+            out.append((z, a))
     return out
 
 
@@ -232,10 +220,10 @@ def pell_oracle(
     if budget is not None and planned > budget:
         raise BudgetExceededError(f"pell-oracle needs {planned} scanned values, budget is {budget}")
     if c >= bound:
-        rows = _oracle_range(d, n, form, include_zero, 1, bound)
+        rows = _oracle_range(d, n, form, 1, bound)
     else:
         rows = []
-        for u, v in _oracle_range(f, n, form, True, 0, c):
+        for u, v in _oracle_range(f, n, form, 0, c):
             x, w = (u, v) if form == FORM_Z else (v, u)
             while (x if form == FORM_Z else w) <= top:
                 if w % g == 0:

@@ -188,8 +188,8 @@ def classify(
 
     One pass over the sorted solutions: one divmod(2yz, s) per component
     gives the conjugate, the union/find edge and the isolated and
-    frontier-limited tags.  The conjugate of the maximum is the move of
-    `reduction_trace` (ties give the same triple).  When it shrinks the
+    frontier-limited tags.  The conjugate of c, the last and maximal
+    component, is the move of `reduction_trace`.  When it shrinks the
     triple it lands on the reduction parent, which is enumerated (positive,
     within the bound) and sorts earlier (one component got smaller), so each
     solution takes its parent's terminal base; one without such a move is a
@@ -260,19 +260,11 @@ def classify(
             tags.append("frontier-limited")
         rows.append((tuple(tags), fam, tuple(conjugates)))
 
-    component_of = {}
-    out = []
-    for i, (t, (tags, fam, conjugates)) in enumerate(zip(sols, rows)):
-        out.append(
-            Classification(
-                triple=t,
-                tags=tags,
-                family=fam,
-                component=component_of.setdefault(find(i), i),
-                conjugates=conjugates,
-            )
-        )
-    return out
+    # union keeps the smaller root, so find(i) is the least index of i's component
+    return [
+        Classification(triple=t, tags=tags, family=fam, component=find(i), conjugates=conjugates)
+        for i, (t, (tags, fam, conjugates)) in enumerate(zip(sols, rows))
+    ]
 
 
 def triples_to_csv(sols: list[Triple]) -> str:

@@ -107,18 +107,14 @@ def _conjugate(s: int, comps: tuple[int, int, int], index: int) -> int | None:
     return None if r else q - comps[index]
 
 
-def _conjugate_fraction(s: int, comps: tuple[int, int, int], index: int) -> Fraction:
-    """The same conjugate as an exact rational, for output."""
-    y, z = (comps[j] for j in range(3) if j != index)
-    return Fraction(2 * y * z, s) - comps[index]
-
-
 def conjugate_component(t: Triple, index: int) -> Fraction:
     """The other root of the surface read as a quadratic in the chosen component."""
     _require_solution(t)
     if index not in (0, 1, 2):
         raise ValueError(f"component index must be 0, 1 or 2, got {index}")
-    return _conjugate_fraction(t.s, t.components, index)
+    comps = t.components
+    y, z = (comps[j] for j in range(3) if j != index)
+    return Fraction(2 * y * z - t.s * comps[index], t.s)
 
 
 def _integral_moves(s: int, comps: tuple[int, int, int]):
@@ -176,21 +172,18 @@ def is_base(t: Triple) -> bool:
 def reduction_trace(t: Triple) -> list[Triple]:
     """Canonical triples visited while the maximal component can still shrink.
 
-    Each step replaces the maximal component (smallest index on ties) by its
-    conjugate, but only while that conjugate is an integer, positive, and
-    strictly smaller.  The maximum strictly decreases, so this terminates.
+    Each step replaces the maximal component, the last of the sorted triple,
+    by its conjugate while that is an integer, positive and strictly smaller
+    (on a tie every maximal component gives the same move).  The maximum
+    strictly decreases, so this terminates.
     """
     _require_solution(t)
-    cur = t.canonical()
-    trace = [cur]
-    while True:
-        comps = cur.components
-        idx = comps.index(max(comps))
-        v = _conjugate(cur.s, comps, idx)
-        if v is None or v < 1 or v >= comps[idx]:
-            break
-        cur = cur.replace(idx, v).canonical()
-        trace.append(cur)
+    s = t.s
+    cur = tuple(sorted(t.components))
+    trace = [Triple(s, *cur)]
+    while (v := _conjugate(s, cur, 2)) is not None and 1 <= v < cur[2]:
+        cur = tuple(sorted((cur[0], cur[1], v)))
+        trace.append(Triple(s, *cur))
     return trace
 
 

@@ -228,6 +228,44 @@ def test_reduction_terminal_is_chain_gcd():
                 assert reduction_trace(t)[-1].components == want
 
 
+def _reduction_by_max_index(t):
+    """Reference for reduction_trace: conjugate the first maximal component
+    of the canonical triple, as comps.index(max(comps)) names it, and sort
+    the result again."""
+    cur = t.canonical()
+    trace = [cur]
+    while True:
+        comps = cur.components
+        idx = comps.index(max(comps))
+        v = _conjugate(cur.s, comps, idx)
+        if v is None or v < 1 or v >= comps[idx]:
+            return trace
+        cur = cur.replace(idx, v).canonical()
+        trace.append(cur)
+
+
+def _reduction_cases():
+    for s in range(1, 13):
+        yield from enumerate_solutions(s, 400)
+        # (s, p, p) ties the maximum for p >= s, all three components at p == s
+        yield from (Triple(s, s, p, p) for p in range(1, 41))
+    yield Triple(3, 21, 291, 4053)  # its trace passes through (21, 21, 291)
+    # (X_n, X_n, X_2n) reduces to the tie (s, X_n, X_n)
+    for s in range(1, 7):
+        for mult in (3, 4, 5, 6):
+            if mult * s % 2 == 0:
+                yield from (family_triple(s, mult * s // 2, n, n) for n in range(1, 9))
+
+
+def test_reduction_trace_matches_the_max_index_oracle():
+    ties = 0
+    for t in _reduction_cases():
+        trace = reduction_trace(t)
+        assert trace == _reduction_by_max_index(t)
+        ties += any(x.b == x.c for x in trace)
+    assert ties > 500
+
+
 def test_reduction_terminates_on_non_family_solutions():
     # isolated solution: the trace is just the triple itself
     trace = reduction_trace(Triple(24, 26, 51, 74))
@@ -523,3 +561,16 @@ def test_s1_solutions_match_generated_chain_set(s1_solutions_2000):
             for n in range(total + 1):
                 generated.add(tuple(sorted((chain[n], chain[total], chain[total - n]))))
     assert {t.components for t in s1_solutions_2000} == generated
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: conjugate_component(Triple(1, 1, 1, 1), 3), ValueError, "component index must be 0, 1 or 2, got 3"),
+        (lambda: family_triple(1, 2, -1, 1), ValueError, r"chain indices must be non-negative, got \(-1, 1\)"),
+        (lambda: euclid_index_path(-1, 2), ValueError, r"indices must be non-negative, got \(-1, 2\)"),
+    ],
+)
+def test_triples_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

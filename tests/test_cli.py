@@ -74,6 +74,20 @@ def test_verify_rejects_bad_component():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--s", "1", "--triple", "1,x,2"], "triple must be comma-separated integers, got '1,x,2'"),
+        (["continuant", "--word", "1,x"], "word must be comma-separated integers, got '1,x'"),
+    ],
+)
+def test_cli_rejects_non_integer_lists(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_family_text_and_note(capsys):
     code = run(["family", "--s", "3", "--b", "6", "--n", "2", "--m", "4"])
     captured = capsys.readouterr()

@@ -64,6 +64,14 @@ def test_markov_neighbor_is_involutive():
             assert markov_neighbor(w, i) == t
 
 
+def test_markov_neighbor_stays_positive():
+    # the roots of X^2 - 3yz*X + y^2 + z^2 have a positive sum and product,
+    # so markov_neighbor needs no positivity check on its result
+    for t in markov_tree(10):
+        for i in range(3):
+            assert min(markov_neighbor(t, i)) >= 1
+
+
 def test_markov_tree_levels():
     assert markov_tree(0) == [(1, 1, 1)]
     assert markov_tree(2) == [(1, 1, 1), (1, 1, 2), (1, 2, 5)]
@@ -485,3 +493,16 @@ def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_en
         monkeypatch.setattr(mk, name, no_continuant)
     with pytest.raises(BudgetExceededError, match=f"needs {plan} pair tests, budget is {plan - 1}"):
         sequence_overlap_search(max_entry, max_block_len, 3, budget=plan - 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: markov_neighbor((0, 1, 1), 0), ValueError, r"components must be positive integers, got \(0, 1, 1\)"),
+        (lambda: continuant_power_sequence((1, 2), (1,), 0), ValueError, "count must be >= 1, got 0"),
+        (lambda: splitting_identity_holds((), (1,)), ValueError, "alpha must be non-empty"),
+    ],
+)
+def test_markov_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -142,6 +142,21 @@ def test_family_two_values():
         assert a * a - 960 * z * z == -960
 
 
+def test_family_two_difference_is_even():
+    # 2*X_n*X_m / s = X_{n+m} + X_{|n-m|} gives s*(X_{n+m} - X_{|n-m|}) =
+    # 2*X_n*X_m - 2s*X_{|n-m|}: pell_family_two halves it without a parity check
+    for s in range(1, 7):
+        for p in range(1, 4 * s + 1):
+            if 2 * p % s:
+                continue
+            for n in range(1, 13):
+                for m in range(1, 13):
+                    diff = s * (scaled_cheb_t(s, p, n + m) - scaled_cheb_t(s, p, abs(n - m)))
+                    assert diff % 2 == 0
+                    if p > s:
+                        assert pell_family_two(s, p, n, m) == (scaled_cheb_t(s, p, m), diff // 2)
+
+
 def test_family_one_rejects_a_wrong_companion(monkeypatch):
     monkeypatch.setattr(pl, "scaled_cheb_u", lambda s, y, n: scaled_cheb_u(s, y, n) + 1)
     with pytest.raises(InvariantError):
@@ -231,7 +246,7 @@ def test_unit_fraction_approximates_sqrt3():
 
 def _direct(inst, bound, include_zero=False):
     """Reference: every z in 1..bound, tested with an exact square root."""
-    return [PellSolution(*r) for r in pl._oracle_range(inst.d, inst.rhs, inst.form, include_zero, 1, bound)]
+    return [PellSolution(z, a) for z, a in pl._oracle_range(inst.d, inst.rhs, inst.form, 1, bound) if a or include_zero]
 
 
 @st.composite
@@ -286,9 +301,9 @@ def _record_scans(monkeypatch):
     spans = []
     scan = pl._oracle_range
 
-    def recording(d, rhs, form, include_zero, lo, hi):
+    def recording(d, rhs, form, lo, hi):
         spans.append((d, lo, hi))
-        return scan(d, rhs, form, include_zero, lo, hi)
+        return scan(d, rhs, form, lo, hi)
 
     monkeypatch.setattr(pl, "_oracle_range", recording)
     return spans
@@ -367,3 +382,18 @@ def test_oracle_budget_refuses_before_any_scan(monkeypatch, inst, bound, planned
     monkeypatch.setattr(pl, "_oracle_range", no_scan)
     with pytest.raises(BudgetExceededError, match=f"needs {planned} scanned values, budget is {planned - 1}$"):
         pell_oracle(inst, bound, budget=planned - 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: family_two_instance(1, 4, 0), ValueError, "n must be >= 1, got 0"),
+        (lambda: family_two_instance(2, 2, 1), DegeneratePellError, "chain value 2 does not exceed s=2"),
+        (lambda: pell_family_two(1, 4, 2, 0), ValueError, "m must be >= 1, got 0"),
+        (lambda: pell_family_two(1, 4, 0, 1), ValueError, "n must be >= 1, got 0"),
+        (lambda: pell_oracle(PellInstance(3, 1), 0), ValueError, "bound must be >= 1, got 0"),
+    ],
+)
+def test_pell_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -27,7 +27,7 @@ from cayleycubic import (
 from cayleycubic import search as sr
 from cayleycubic.cli import run
 from cayleycubic.search import TAG_ORDER, Classification
-from cayleycubic.triples import _conjugate, _conjugate_fraction, base_value
+from cayleycubic.triples import _conjugate, base_value
 
 
 def _grid_enumerate(s, bound):
@@ -501,7 +501,7 @@ def _reference_classify(s, bound):
                 tags=tuple(tags),
                 family=fam,
                 component=component_of[roots[i]],
-                conjugates=tuple(_conjugate_fraction(s, verts[i], k) for k in range(3)),
+                conjugates=tuple(conjugate_component(Triple(s, *verts[i]), k) for k in range(3)),
             )
         )
     return out
@@ -709,3 +709,15 @@ def test_cli_stdout_matches_oracle_writers(capsys, s):
     ):
         assert run([cmd, "--s", str(s), "--bound", "300", "--format", fmt]) == 0
         _assert_same_text(capsys.readouterr().out, want)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: enumerate_solutions(0, 10), ValueError, "s must be a positive integer, got 0"),
+        (lambda: enumerate_solutions(1, 0), ValueError, "bound must be >= 1, got 0"),
+    ],
+)
+def test_search_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
