@@ -9,6 +9,7 @@ early, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -157,17 +158,9 @@ def _cmd_pell_oracle(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    sols = sr.enumerate_solutions(args.s, args.bound, budget=_budget(args))
-    write = sr.triples_to_csv if args.format == "csv" else sr.triples_to_jsonl
-    _stream(args, [write(sols)])
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    rows = sr.classify(args.s, args.bound, budget=_budget(args))
-    write = sr.classifications_to_csv if args.format == "csv" else sr.classifications_to_jsonl
-    _stream(args, [write(rows)])
+def _cmd_rows(args) -> int:
+    # search or classify: every check runs before the first chunk, so a refused or failed run writes nothing
+    _stream(args, sr._chunks(args.s, args.bound, _budget(args), args.format == "csv", args.command == "classify"))
     return 0
 
 
@@ -269,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, help="cap on quadratic solves (env CAYLEY_BUDGET)")
     p.add_argument("--workers", type=int, default=1, help="ignored: scans run in one process")
     fmt(p, ("jsonl", "csv"), "jsonl")
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_rows)
 
     p = sub.add_parser("classify", help="enumerate and tag solutions within a bound")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="cap on quadratic solves (env CAYLEY_BUDGET)")
     fmt(p, ("jsonl", "csv"), "jsonl")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_rows)
 
     p = sub.add_parser("markov-tree", help="Markov triples within a move depth of (1,1,1)")
     p.add_argument("--depth", type=int, required=True)
@@ -302,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args fills a fresh Namespace on every call, and
+# building reads nothing that can change between calls
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
     # Numbers are read and printed in full decimal, however long: lift the
     # int/str digit limit of Python >= 3.11 for this call, then restore it.
@@ -309,7 +307,7 @@ def run(argv: list[str] | None = None) -> int:
     if previous is not None:
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
+        parser = _parser()
         args = parser.parse_args(argv)
         _notes(args)
         try:

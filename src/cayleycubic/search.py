@@ -11,7 +11,9 @@ one process.  Classification then connects the enumerated solutions
 by conjugation moves and tags each one, in one pass over the sorted list:
 a solution's reduction parent is enumerated and sorts before it, so its
 terminal base is its parent's, and its family is the positions of its
-components in that base's chain (see `classify`).
+components in that base's chain (see `_classify_rows`).  The pass and the
+writers work on int rows (a, b, c) and write text in chunks; `Triple`,
+`Fraction` and `Classification` objects are built only for library callers.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _chain_values
-from .triples import Triple, _require_solution, base_value, reduction_trace
+from .triples import _CHUNK_LINES, Triple, base_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -97,12 +100,19 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     return rows
 
 
-def enumerate_solutions(
-    s: int,
-    bound: int,
-    *,
-    budget: int | None = None,
-) -> list[Triple]:
+def _solution_rows(s: int, bound: int, budget: int | None) -> list[tuple[int, int, int]]:
+    """The rows of `enumerate_solutions` as sorted int tuples (a, b, c), after its checks."""
+    if s < 1:
+        raise ValueError(f"s must be a positive integer, got {s}")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    planned = bound * (bound + 1) // 2
+    if budget is not None and planned > budget:
+        raise BudgetExceededError(f"enumeration at bound {bound} needs {planned} quadratic solves, budget is {budget}")
+    return sorted(_enumerate_range(s, bound))
+
+
+def enumerate_solutions(s: int, bound: int, *, budget: int | None = None) -> list[Triple]:
     """All solutions with 1 <= a <= b <= c <= bound, canonical and sorted.
 
     The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of
@@ -110,36 +120,18 @@ def enumerate_solutions(
     bound of them.  If a budget is given and the plan exceeds it, the call
     fails up front rather than part-way.  The join runs in this process.
     """
-    if s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    planned = bound * (bound + 1) // 2
-    if budget is not None and planned > budget:
-        raise BudgetExceededError(
-            f"enumeration at bound {bound} needs {planned} quadratic solves, budget is {budget}"
-        )
-    rows = _enumerate_range(s, bound)
-    rows.sort()
-    return [Triple(s, *r) for r in rows]
+    return [Triple(s, *r) for r in _solution_rows(s, bound, budget)]
 
 
-def _terminal_base(t: Triple) -> int | None:
-    """The base p of a reduction terminal (s, p, p) with s | 2p, which is
-    (X_0, X_1, X_1) of the chain at base (s, p); None for any other terminal."""
-    p = base_value(t)
-    return None if p is None or 2 * p % t.s else p
-
-
-def _chain_family(t: Triple, p: int, index: dict[int, int]) -> tuple[int, int, int]:
-    """(p, n, m) with t a permutation of (X_n, X_{n+m}, X_m), n <= m, read off
-    `index`, the chain position k of each value X_k at base (s, p)."""
+def _chain_family(s: int, comps: tuple[int, int, int], p: int, index: dict[int, int]) -> tuple[int, int, int]:
+    """(p, n, m) with comps a permutation of (X_n, X_{n+m}, X_m), n <= m, read
+    off `index`, the chain position k of each value X_k at base (s, p)."""
     try:
-        n, m, top = sorted(index[x] for x in t.components)
+        n, m, top = sorted(index[x] for x in comps)
     except KeyError:
-        raise InvariantError(f"{t.components} has a component off the chain at base ({t.s}, {p})") from None
+        raise InvariantError(f"{comps} has a component off the chain at base ({s}, {p})") from None
     if top != n + m:
-        raise InvariantError(f"{t.components} sits at chain indices ({n}, {m}, {top}), not (n, m, n + m)")
+        raise InvariantError(f"{comps} sits at chain indices ({n}, {m}, {top}), not (n, m, n + m)")
     return (p, n, m)
 
 
@@ -153,13 +145,13 @@ def family_membership(t: Triple) -> tuple[int, int, int] | None:
     base-shaped or when its base value fails the s | 2b integrality gate.
     """
     trace = reduction_trace(t)
-    p = _terminal_base(trace[-1])
-    if p is None:
+    p = base_value(trace[-1])
+    if p is None or 2 * p % t.s:
         return None
     if len(trace) == 1:
         return (p, 0, 1)
     index = {x: k for k, x in enumerate(_chain_values(t.s, p, max(t.components)))}
-    return _chain_family(t, p, index)
+    return _chain_family(t.s, t.components, p, index)
 
 
 @dataclass(frozen=True)
@@ -178,28 +170,26 @@ class Classification:
     conjugates: tuple[Fraction, Fraction, Fraction]
 
 
-def classify(
-    s: int,
-    bound: int,
-    *,
-    budget: int | None = None,
-) -> list[Classification]:
-    """Classify every solution within the bound; deterministic triple order.
+# the tags of a row by bit mask: base 1, r-family 2, isolated 4, frontier-limited 8
+_TAG_SETS = [tuple(tag for bit, tag in enumerate(TAG_ORDER) if mask >> bit & 1) for mask in range(16)]
+_TAG_JSON = {tags: json.dumps(list(tags)) for tags in _TAG_SETS}
 
-    One pass over the sorted solutions: one divmod(2yz, s) per component
-    gives the conjugate, the union/find edge and the isolated and
-    frontier-limited tags.  The conjugate of c, the last and maximal
-    component, is the move of `reduction_trace`.  When it shrinks the
-    triple it lands on the reduction parent, which is enumerated (positive,
-    within the bound) and sorts earlier (one component got smaller), so each
-    solution takes its parent's terminal base; one without such a move is a
-    terminal.  The family is then read off that base's chain with the checks
-    of `family_membership`, one value-to-index table per base.
+
+def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
+    """(tags, family, component) of each sorted solution row (a, b, c): the pass of `classify`.
+
+    One divmod(2yz, s) per component gives the union/find edge and the
+    isolated and frontier-limited tags.  The conjugate of c, the last and
+    maximal component, is the move of `reduction_trace`.  When it shrinks
+    the row it lands on the reduction parent, which is enumerated
+    (positive, within the bound) and sorts earlier (one component got
+    smaller), so each row takes its parent's terminal base; one without
+    such a move is a terminal.  The family is then read off that base's
+    chain with the checks of `family_membership`, one value-to-index table
+    per base.  Each row is checked to solve the cubic, exactly in integers.
     """
-    sols = enumerate_solutions(s, bound, budget=budget)
-    index = {t.components: i for i, t in enumerate(sols)}
-
-    parent = list(range(len(sols)))
+    index = {r: i for i, r in enumerate(rows)}
+    parent = list(range(len(rows)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -207,24 +197,17 @@ def classify(
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    bases = []  # the terminal base p of each solution, None outside the families
+    sss = s * s * s
     chains = {}  # {X_k: k} of each base p met off its terminal
-    rows = []  # (tags, family, conjugates) per solution
-    for i, t in enumerate(sols):
-        _require_solution(t)
-        a, b, c = t.components
-        conjugates = []
+    tags, fams = [], []
+    for i, (a, b, c) in enumerate(rows):
+        value = s * (a * a + b * b + c * c) - sss - 2 * a * b * c
+        if value:
+            raise NotASolutionError(f"(s={s}; {a},{b},{c}) is not a solution (value {value})")
         isolated, frontier, up = True, False, None
         # x is component k, y <= z the other two
         for k, x, y, z in ((0, a, b, c), (1, b, a, c), (2, c, a, b)):
-            yz2 = 2 * y * z
-            q, r = divmod(yz2, s)
-            conjugates.append(Fraction(yz2 - s * x, s))
+            q, r = divmod(2 * y * z, s)
             cv = q - x
             if r or cv < 1:
                 continue
@@ -236,68 +219,112 @@ def classify(
                 frontier = True
                 continue
             j = index[(cv, y, z) if cv <= y else (y, cv, z) if cv <= z else (y, z, cv)]
-            union(i, j)
+            ri, rj = find(i), find(j)
+            # the smaller root stays, so find(i) ends as the least index of i's component
+            parent[max(ri, rj)] = min(ri, rj)
             if k == 2 and cv < c:
                 up = j
-        p = _terminal_base(t) if up is None else bases[up]
-        bases.append(p)
-        if p is None:
+        # base_value of the sorted row
+        base = b if a == s and b == c else a if a == b and c == s else None
+        if up is None:
+            # a terminal is its own base when it has the shape (s, p, p) and s | 2p
+            fam = None if base is None or 2 * base % s else (base, 0, 1)
+        elif fams[up] is None:
             fam = None
-        elif up is None:
-            fam = (p, 0, 1)
         else:
+            p = fams[up][0]  # the parent's terminal base
             if p not in chains:
                 chains[p] = {x: k for k, x in enumerate(_chain_values(s, p, bound))}
-            fam = _chain_family(t, p, chains[p])
-        tags = []
-        if base_value(t) is not None:
-            tags.append("base")
-        if fam is not None:
-            tags.append("r-family")
-        if isolated:
-            tags.append("isolated")
-        if frontier:
-            tags.append("frontier-limited")
-        rows.append((tuple(tags), fam, tuple(conjugates)))
+            fam = _chain_family(s, (a, b, c), p, chains[p])
+        tags.append(_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3])
+        fams.append(fam)
+    return tags, fams, [find(i) for i in range(len(rows))]
 
-    # union keeps the smaller root, so find(i) is the least index of i's component
+
+def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classification]:
+    """Classify every solution within the bound; deterministic triple order.
+
+    The pass is `_classify_rows`, over int rows; the objects are built here, for library callers.
+    """
+    rows = _solution_rows(s, bound, budget)
     return [
-        Classification(triple=t, tags=tags, family=fam, component=find(i), conjugates=conjugates)
-        for i, (t, (tags, fam, conjugates)) in enumerate(zip(sols, rows))
+        Classification(Triple(s, a, b, c), t, f, k, tuple(Fraction(n, s) for n in _conjugate_numerators(s, a, b, c)))
+        for (a, b, c), t, f, k in zip(rows, *_classify_rows(s, bound, rows))
     ]
+
+
+def _conjugate_numerators(s: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """2yz - s*x for each component x of a row: its conjugate times s."""
+    return (2 * b * c - s * a, 2 * a * c - s * b, 2 * a * b - s * c)
+
+
+def _conjugate_texts(s: int, a: int, b: int, c: int) -> list[str]:
+    """str() of the row's conjugates as `Fraction`s, each reduced by one gcd."""
+    return [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, a, b, c)]
+
+
+def _row_chunks(records, csv: bool, classified: bool):
+    """The four writers' text in pieces of _CHUNK_LINES records: (s, a, b, c), or
+    (s, a, b, c, tags, family, component, conjugates) for a classification,
+    each conjugate a str or a Fraction.  Each record is unpacked as it is
+    formatted; none is kept past its line."""
+    if csv:
+        yield "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n" if classified else "s,a,b,c\r\n"
+    records = iter(records)
+    while True:
+        batch = islice(records, _CHUNK_LINES)
+        if not classified:
+            if csv:
+                chunk = "".join([f"{s},{a},{b},{c}\r\n" for s, a, b, c in batch])
+            else:
+                chunk = "".join([f'{{"s": {s}, "triple": [{a}, {b}, {c}]}}\n' for s, a, b, c in batch])
+        elif csv:
+            chunk = "".join([f"{s},{a},{b},{c},{'|'.join(t)},{x},{y},{z}\r\n" for s, a, b, c, t, _, _, (x, y, z) in batch])
+        else:
+            chunk = "".join([
+                f'{{"s": {s}, "triple": [{a}, {b}, {c}], "tags": {_TAG_JSON.get(t) or json.dumps(list(t))}, "family": '
+                f'{"null" if f is None else f"[{f[0]}, {f[1]}, {f[2]}]"}, "component": {k}, "conjugates": ["{x}", "{y}", "{z}"]}}\n'
+                for s, a, b, c, t, f, k, (x, y, z) in batch
+            ])
+        if not chunk:
+            return
+        yield chunk
+
+
+def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool):
+    """`search` or `classify` output in chunks, from int rows.  Every check and
+    the whole classify pass run in this call, before the first chunk: a later
+    row can still join two earlier components."""
+    rows = _solution_rows(s, bound, budget)
+    if not classified:
+        return _row_chunks(((s, a, b, c) for a, b, c in rows), csv, False)
+    tags, fams, comps = _classify_rows(s, bound, rows)
+    records = (
+        (s, a, b, c, t, f, k, _conjugate_texts(s, a, b, c)) for (a, b, c), t, f, k in zip(rows, tags, fams, comps)
+    )
+    return _row_chunks(records, csv, True)
 
 
 def triples_to_csv(sols: list[Triple]) -> str:
     """CSV with a header, byte for byte what `csv.writer` writes (CRLF line ends)."""
-    return "s,a,b,c\r\n" + "".join(f"{t.s},{t.a},{t.b},{t.c}\r\n" for t in sols)
+    return "".join(_row_chunks(((t.s, t.a, t.b, t.c) for t in sols), True, False))
 
 
 def triples_to_jsonl(sols: list[Triple]) -> str:
     """One JSON object per line, byte for byte what `json.dumps` writes."""
-    return "".join(f'{{"s": {t.s}, "triple": [{t.a}, {t.b}, {t.c}]}}\n' for t in sols)
+    return "".join(_row_chunks(((t.s, t.a, t.b, t.c) for t in sols), False, False))
+
+
+def _classification_text(rows: list[Classification], csv: bool) -> str:
+    records = ((r.triple.s, r.triple.a, r.triple.b, r.triple.c, r.tags, r.family, r.component, r.conjugates) for r in rows)
+    return "".join(_row_chunks(records, csv, True))
 
 
 def classifications_to_csv(rows: list[Classification]) -> str:
     """CSV with a header, byte for byte what `csv.writer` writes: no field needs quoting."""
-    lines = ["s,a,b,c,tags,conj_a,conj_b,conj_c\r\n"]
-    for r in rows:
-        t, (ca, cb, cc) = r.triple, r.conjugates
-        lines.append(f"{t.s},{t.a},{t.b},{t.c},{'|'.join(r.tags)},{ca},{cb},{cc}\r\n")
-    return "".join(lines)
+    return _classification_text(rows, csv=True)
 
 
 def classifications_to_jsonl(rows: list[Classification]) -> str:
     """One JSON object per line, byte for byte what `json.dumps` writes."""
-    tag_json = {}  # at most 16 tag tuples
-    lines = []
-    for r in rows:
-        t, (ca, cb, cc) = r.triple, r.conjugates
-        tags = tag_json.get(r.tags)
-        if tags is None:
-            tags = tag_json[r.tags] = json.dumps(list(r.tags))
-        fam = "null" if r.family is None else "[{}, {}, {}]".format(*r.family)
-        lines.append(
-            f'{{"s": {t.s}, "triple": [{t.a}, {t.b}, {t.c}], "tags": {tags}, "family": {fam}, '
-            f'"component": {r.component}, "conjugates": ["{ca}", "{cb}", "{cc}"]}}\n'
-        )
-    return "".join(lines)
+    return _classification_text(rows, csv=False)

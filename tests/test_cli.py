@@ -517,14 +517,15 @@ def test_interrupt_exits_1(capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(search, "enumerate_solutions", interrupted)
+    # the enumeration kernel under both enumerate_solutions and the CLI's row chunks
+    monkeypatch.setattr(search, "_enumerate_range", interrupted)
     code = run(["search", "--s", "1", "--bound", "10"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: interrupted\n"
     # any other error propagates
-    monkeypatch.setattr(search, "enumerate_solutions", lambda *args, **kwargs: 1 // 0)
+    monkeypatch.setattr(search, "_enumerate_range", lambda *args, **kwargs: 1 // 0)
     with pytest.raises(ZeroDivisionError):
         run(["search", "--s", "1", "--bound", "10"])
 
@@ -809,3 +810,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solution"] is True
+
+
+# run one after another against one parser: a default that leaked from one call
+# into the next would show as a difference from a run on a freshly built parser
+PARSER_REUSE_SEQUENCE = [
+    ["family", "--s", "3", "--b", "6", "--n", "2", "--m", "4"],
+    ["--no-note-corrections", "family", "--s", "3", "--b", "6", "--n", "2", "--m", "4"],
+    ["continuant", "--word", "2,1,1,3", "--interior"],
+    ["continuant", "--word", "2,1,1,3"],
+    ["continuant", "--word", "2,1,1,3", "--drop-last", "--interior"],
+    ["verify", "--s", "3", "--triple", "21,4053,291"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_leaks_no_default(capsys):
+    from cayleycubic import cli
+
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in PARSER_REUSE_SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    codes = [code for code, _, _ in shared]
+    assert codes == [0, 0, 0, 0, 2, 0]
+    assert shared[0][2] == CORRECTION_NOTES["chebyshev"] + "\n" and shared[1][2] == ""
+    assert [json.loads(out)["kind"] for _, out, _ in shared[2:4]] == ["interior", "full"]

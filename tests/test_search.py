@@ -614,11 +614,17 @@ def test_classify_runs_no_trace_and_no_membership(monkeypatch):
     assert len(rows) > 2020 and all(r.family is not None for r in rows)
 
 
-def test_classify_checks_every_triple_solves(monkeypatch):
-    real = sr.enumerate_solutions
-    monkeypatch.setattr(sr, "enumerate_solutions", lambda *a, **k: real(*a, **k) + [Triple(1, 60, 60, 61)])
-    with pytest.raises(NotASolutionError):
+def test_classify_checks_every_triple_solves(monkeypatch, capsys):
+    # the non-solution enters below the row pass, so the library and the CLI both meet it
+    real = sr._enumerate_range
+    monkeypatch.setattr(sr, "_enumerate_range", lambda *a: real(*a) + [(60, 60, 61)])
+    with pytest.raises(NotASolutionError, match=r"\(s=1; 60,60,61\) is not a solution \(value -428280\)"):
         classify(1, 61)
+    for fmt in ("jsonl", "csv"):
+        assert run(["classify", "--s", "1", "--bound", "61", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: (s=1; 60,60,61) is not a solution (value -428280)\n"
 
 
 def _patch_chain(monkeypatch, edit):
@@ -721,3 +727,57 @@ def test_cli_stdout_matches_oracle_writers(capsys, s):
 def test_search_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _chunk_sizes(n):
+    """Chunk sizes k >= 2 that divide n rows exactly, and that leave one row over."""
+    exact = next(k for k in range(2, n + 1) if n % k == 0)
+    over = next(k for k in range(2, n) if n % k == 1)
+    return exact, over
+
+
+@pytest.mark.parametrize("s, bound", [(1, 120), (12, 150), (24, 200)])
+def test_cli_chunks_at_their_boundaries(monkeypatch, capsys, s, bound):
+    sols, ref = enumerate_solutions(s, bound), _reference_classify(s, bound)
+    n = len(sols)
+    for k in (*_chunk_sizes(n), n - 1, n, n + 1):
+        monkeypatch.setattr(sr, "_CHUNK_LINES", k)
+        for cmd, fmt, want in (
+            ("search", "csv", _triples_csv_oracle(sols)),
+            ("search", "jsonl", _triples_jsonl_oracle(sols)),
+            ("classify", "csv", _classifications_csv_oracle(ref)),
+            ("classify", "jsonl", _classifications_jsonl_oracle(ref)),
+        ):
+            chunks = list(sr._chunks(s, bound, None, fmt == "csv", cmd == "classify"))
+            assert len(chunks) == -(-n // k) + (fmt == "csv")  # the rows in ceil(n / k) chunks, after a CSV header
+            _assert_same_text("".join(chunks), want)
+            assert run([cmd, "--s", str(s), "--bound", str(bound), "--format", fmt]) == 0
+            _assert_same_text(capsys.readouterr().out, want)
+
+
+def test_cli_past_two_default_chunks(capsys):
+    # 8 286 rows: two whole chunks of 4096 and a part of a third
+    sols = enumerate_solutions(1, 8200)
+    assert len(sols) > 2 * sr._CHUNK_LINES
+    assert run(["search", "--s", "1", "--bound", "8200", "--format", "csv"]) == 0
+    _assert_same_text(capsys.readouterr().out, _triples_csv_oracle(sols))
+    assert run(["classify", "--s", "1", "--bound", "8200"]) == 0
+    _assert_same_text(capsys.readouterr().out, _classifications_jsonl_oracle(_reference_classify(1, 8200)))
+
+
+@pytest.mark.parametrize("cmd", ["search", "classify"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_cli_refusals_write_no_chunk(monkeypatch, capsys, cmd, fmt):
+    monkeypatch.setattr(sr, "_CHUNK_LINES", 2)
+    assert run([cmd, "--s", "1", "--bound", "100", "--budget", "5049", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration at bound 100 needs 5050 quadratic solves, budget is 5049\n"
+    if cmd == "classify":
+        # the non-solution sorts last, past every chunk of good rows the pass has seen
+        real = sr._enumerate_range
+        monkeypatch.setattr(sr, "_enumerate_range", lambda *a: real(*a) + [(60, 60, 61)])
+        assert run([cmd, "--s", "1", "--bound", "61", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: (s=1; 60,60,61) is not a solution")
