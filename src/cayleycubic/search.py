@@ -11,9 +11,11 @@ one process.  Classification then connects the enumerated solutions
 by conjugation moves and tags each one, in one pass over the sorted list:
 a solution's reduction parent is enumerated and sorts before it, so its
 terminal base is its parent's, and its family is the positions of its
-components in that base's chain (see `_classify_rows`).  The pass and the
-writers work on int rows (a, b, c) and write text in chunks; `Triple`,
-`Fraction` and `Classification` objects are built only for library callers.
+components in that base's chain (see `_classify_rows`); the base rows
+(s, p, p), nearly all of the output, are settled in closed form.  The pass
+and the writers work on int rows (a, b, c) and write text in chunks;
+`Triple`, `Fraction` and `Classification` objects are built only for
+library callers.
 """
 
 from __future__ import annotations
@@ -178,15 +180,21 @@ _TAG_JSON = {tags: json.dumps(list(tags)) for tags in _TAG_SETS}
 def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
     """(tags, family, component) of each sorted solution row (a, b, c): the pass of `classify`.
 
-    One divmod(2yz, s) per component gives the union/find edge and the
-    isolated and frontier-limited tags.  The conjugate of c, the last and
-    maximal component, is the move of `reduction_trace`.  When it shrinks
-    the row it lands on the reduction parent, which is enumerated
-    (positive, within the bound) and sorts earlier (one component got
-    smaller), so each row takes its parent's terminal base; one without
-    such a move is a terminal.  The family is then read off that base's
-    chain with the checks of `family_membership`, one value-to-index table
-    per base.  Each row is checked to solve the cubic, exactly in integers.
+    Each row is first checked to solve the cubic, exactly in integers.  A
+    base row (s, p, p), p >= s, most of the output, is then settled in
+    closed form: both p components are fixed points (2sp/s - p = p), so it
+    is not isolated and is a terminal, and s moves up to (p, p, 2p^2/s - s)
+    when s | 2p^2.  Past the bound that move makes it frontier-limited;
+    within it, the union comes from the row it lands on, whose move of its
+    largest component comes back (p = s moves onto itself).  For the other
+    rows, one divmod(2yz, s) per component gives the union/find edge and
+    both tags.  The conjugate of c, the last and maximal component, is the
+    move of `reduction_trace`.  When it shrinks the row it lands on the
+    reduction parent, which is enumerated (positive, within the bound) and
+    sorts earlier (one component got smaller), so each row takes its
+    parent's terminal base; one without such a move is a terminal.  The
+    family is then read off that base's chain with the checks of
+    `family_membership`, one value-to-index table per base.
     """
     index = {r: i for i, r in enumerate(rows)}
     parent = list(range(len(rows)))
@@ -204,6 +212,12 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
         value = s * (a * a + b * b + c * c) - sss - 2 * a * b * c
         if value:
             raise NotASolutionError(f"(s={s}; {a},{b},{c}) is not a solution (value {value})")
+        if a == s and b == c:
+            q, r = divmod(2 * b * b, s)
+            fam = None if 2 * b % s else (b, 0, 1)
+            tags.append(_TAG_SETS[1 | (fam is not None) << 1 | (not r and q - s > bound) << 3])
+            fams.append(fam)
+            continue
         isolated, frontier, up = True, False, None
         # x is component k, y <= z the other two
         for k, x, y, z in ((0, a, b, c), (1, b, a, c), (2, c, a, b)):
@@ -224,10 +238,10 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             parent[max(ri, rj)] = min(ri, rj)
             if k == 2 and cv < c:
                 up = j
-        # base_value of the sorted row
-        base = b if a == s and b == c else a if a == b and c == s else None
+        # base_value of a sorted row other than (s, p, p): (p, p, s) with p < s
+        base = a if a == b and c == s else None
         if up is None:
-            # a terminal is its own base when it has the shape (s, p, p) and s | 2p
+            # a terminal (p, p, s), p < s, is its own base when s | 2p
             fam = None if base is None or 2 * base % s else (base, 0, 1)
         elif fams[up] is None:
             fam = None
@@ -259,7 +273,11 @@ def _conjugate_numerators(s: int, a: int, b: int, c: int) -> tuple[int, int, int
 
 
 def _conjugate_texts(s: int, a: int, b: int, c: int) -> list[str]:
-    """str() of the row's conjugates as `Fraction`s, each reduced by one gcd."""
+    """str() of the row's conjugates as `Fraction`s, each reduced by one gcd.  Those
+    of a base row (s, p, p) are (2p^2 - s^2)/s, p and p: one gcd in all."""
+    if a == s and b == c:
+        n, p = 2 * b * b - s * s, str(b)
+        return [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}", p, p]
     return [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, a, b, c)]
 
 

@@ -586,6 +586,14 @@ def test_classify_matches_reference_at_scan_shapes(s, bound):
         (2, 60, [(1, 1, 2), (2, 2, 2), (2, 3, 3)]),
         (1, 60, [(1, 1, 1), (1, 2, 2), (2, 2, 7)]),
         (6, 100, [(3, 3, 6), (6, 6, 6), (6, 9, 9), (9, 9, 21)]),
+        # the closed form of the base rows (s, p, p): p = s has no move; 8 does not
+        # divide 2 * 9**2, so (8, 9, 9) has no move either; 8 | 2 * 10**2 but not
+        # 2 * 10, so (8, 10, 10) moves to (10, 10, 17), a union at 17 and past the
+        # bound at 16, with no family; (8, 16, 16) has a family and is frontier-limited
+        (8, 16, [(8, 8, 8), (8, 9, 9), (8, 10, 10), (8, 16, 16)]),
+        (8, 17, [(8, 8, 8), (8, 9, 9), (8, 10, 10), (8, 16, 16), (10, 10, 17)]),
+        # 3 does not divide 2 * 4**2: no move
+        (3, 6, [(3, 4, 4)]),
     ],
 )
 def test_classify_matches_reference_on_bases_and_ties(s, bound, shapes):
@@ -704,7 +712,8 @@ def test_writers_on_a_bound_without_solutions(capsys):
         assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("s", [1, 12, 24])
+# 8, 18 and 50 have a square factor, so a base row's first conjugate reduces: (8; 9, 9) gives 49/4
+@pytest.mark.parametrize("s", [1, 12, 24, 8, 18, 50])
 def test_cli_stdout_matches_oracle_writers(capsys, s):
     sols, ref = enumerate_solutions(s, 300), _reference_classify(s, 300)
     for cmd, fmt, want in (
