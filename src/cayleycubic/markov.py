@@ -10,12 +10,12 @@ chains possible at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import asdict, dataclass
+from itertools import islice, product
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _recurrence
-from .triples import _CHUNK_LINES
+from .triples import _chunked
 
 __all__ = [
     "MarkovTriple",
@@ -128,23 +128,20 @@ def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
 
 
 def _tree_chunks(depth: int, budget: int | None, dot: bool):
-    """markov_tree_dot() or markov_tree_json() in pieces of _CHUNK_LINES lines or triples; checks run before the first."""
+    """markov_tree_dot() or markov_tree_json() in the chunks of `_chunked`; checks run before the first."""
     rows = _tree_rows(depth, budget)
     if dot:
         yield "digraph markov {\n"
-        for k in range(0, len(rows), _CHUNK_LINES):
-            yield "".join([f'  "{r[3]},{r[4]},{r[5]}";\n' for r in rows[k : k + _CHUNK_LINES]])
+        yield from _chunked(rows, lambda batch: "".join([f'  "{r[3]},{r[4]},{r[5]}";\n' for r in batch]))
         # (1, 1, 1), the least triple, is the only one without a parent
-        for k in range(1, len(rows), _CHUNK_LINES):
-            batch = rows[k : k + _CHUNK_LINES]
-            yield "".join([f'  "{p[3]},{p[4]},{p[5]}" -> "{x},{y},{z}";\n' for _, _, _, x, y, z, p in batch])
+        yield from _chunked(
+            islice(rows, 1, None),
+            lambda batch: "".join([f'  "{p[3]},{p[4]},{p[5]}" -> "{x},{y},{z}";\n' for _, _, _, x, y, z, p in batch]),
+        )
         yield "}\n"
         return
     yield f'{{"depth": {depth}, "triples": ['
-    for k in range(0, len(rows), _CHUNK_LINES):
-        if k:
-            yield ", "
-        yield ", ".join([f"[{r[3]}, {r[4]}, {r[5]}]" for r in rows[k : k + _CHUNK_LINES]])
+    yield from _chunked(rows, lambda batch: ", ".join([f"[{r[3]}, {r[4]}, {r[5]}]" for r in batch]), ", ")
     yield "]}"
 
 
@@ -194,14 +191,6 @@ def continuant_interior(word) -> int:
     return continuant(w[1:-1])
 
 
-def _drop_last_or_zero(word: tuple[int, ...]) -> int:
-    # The empty word is the k = 0 case of the power sequence below; the
-    # recurrence forces its value to 0.
-    if not word:
-        return 0
-    return continuant_drop_last(word)
-
-
 def _cohn_trace(alpha: tuple[int, ...]) -> int:
     # M_alpha = prod [[a, 1], [1, 0]] has K(alpha), K''(alpha) on its diagonal
     # and K'(alpha) top right.  For even length det M_alpha = 1, so M^2 =
@@ -224,7 +213,8 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
         raise ValueError(f"alpha must be a non-empty word of even length, got {a}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    direct = [_drop_last_or_zero(a * k + b) for k in range(count)]
+    # K'(empty word) = 0: the k = 0 term of an empty beta, the value the recurrence forces
+    direct = [continuant_drop_last(a * k + b) if k or b else 0 for k in range(count)]
     if count > 1:
         for k, (want, nxt) in enumerate(zip(direct, _recurrence(_cohn_trace(a), 1, *direct[:2]))):
             if nxt != want:
@@ -255,11 +245,7 @@ class OverlapReport:
     s1_coincidences: list
 
     def as_dict(self) -> dict:
-        return {
-            "bounds": self.bounds,
-            "matches_s_ge_2": self.matches_s_ge_2,
-            "s1_coincidences": self.s1_coincidences,
-        }
+        return asdict(self)
 
 
 def sequence_overlap_search(

@@ -88,19 +88,16 @@ def pell_family_one(s: int, y: int, n: int) -> PellSolution:
 
 
 def pell_family_one_members(s: int, y: int, count: int) -> list[PellSolution]:
-    """pell_family_one(s, y, n) for n = 1..count, in one pass: both components
-    obey X[k+1] = (2y/s)*X[k] - X[k-1] from the first two members; the base
-    and every member are checked."""
+    """pell_family_one(s, y, n) for n = 1..count, in one pass: the chain from
+    index 1 beside its companion from index 0, both X[k+1] = (2y/s)*X[k] - X[k-1];
+    the base and every member are checked."""
     inst = family_one_instance(s, y)
     mult = family_multiplier(s, y)
-    sols = [pell_family_one(s, y, n) for n in range(1, min(count, 2) + 1)]
-    if count > 2:
-        (z0, a0), (z1, a1) = sols
-        members = map(PellSolution, _recurrence(mult, 1, z0, z1), _recurrence(mult, 1, a0, a1))
-        for sol in islice(members, 2, count):
-            if not inst.holds(*sol):
-                raise InvariantError(f"chain solution {sol} fails {inst}")
-            sols.append(sol)
+    members = map(PellSolution, islice(_scaled_chain(s, y), 1, None), _recurrence(mult, 1, 1, mult))
+    sols = list(islice(members, max(count, 0)))
+    for sol in sols:
+        if not inst.holds(*sol):
+            raise InvariantError(f"chain solution {sol} fails {inst}")
     return sols
 
 
@@ -194,13 +191,16 @@ def pell_oracle(
     this process, when that scan would reach bound, or when
     x1 > (top+1)*(isqrt(f)+1), where the expansion of sqrt(f) stops.  The plan
     is the number of values scanned: c + 1 seeds, or bound on the direct scan;
-    BudgetExceededError, before either scan, when that exceeds `budget`.
+    BudgetExceededError, before either scan, when that exceeds `budget`, and
+    before any work when the isqrt(min(d, bound)) - 1 trial divisions for g do.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     d, n, form = inst.d, inst.rhs, inst.form
     if n == 0:
         return []
+    if budget is not None and (trials := isqrt(min(d, bound)) - 1) > budget:
+        raise BudgetExceededError(f"pell-oracle needs up to {trials} trial divisions, budget is {budget}")
     f, g, p = d, 1, 2
     while p * p <= min(f, bound):  # at most sqrt(bound) steps, far fewer than the direct scan
         while f % (p * p) == 0:

@@ -23,12 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _chain_values
-from .triples import _CHUNK_LINES, Triple, base_value, reduction_trace
+from .triples import Triple, _chunked, _conjugate_numerators, _row_moves, base_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -187,9 +186,9 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
     when s | 2p^2.  Past the bound that move makes it frontier-limited;
     within it, the union comes from the row it lands on, whose move of its
     largest component comes back (p = s moves onto itself).  For the other
-    rows, one divmod(2yz, s) per component gives the union/find edge and
-    both tags.  The conjugate of c, the last and maximal component, is the
-    move of `reduction_trace`.  When it shrinks the row it lands on the
+    rows, the moves of `_row_moves` give the union/find edges and both tags.
+    The conjugate of c, the last and maximal component, is the move of
+    `reduction_trace`.  When it shrinks the row it lands on the
     reduction parent, which is enumerated (positive, within the bound) and
     sorts earlier (one component got smaller), so each row takes its
     parent's terminal base; one without such a move is a terminal.  The
@@ -219,20 +218,13 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             fams.append(fam)
             continue
         isolated, frontier, up = True, False, None
-        # x is component k, y <= z the other two
-        for k, x, y, z in ((0, a, b, c), (1, b, a, c), (2, c, a, b)):
-            q, r = divmod(2 * y * z, s)
-            cv = q - x
-            if r or cv < 1:
-                continue
-            # a fixed point (cv == x) is no move, but still not isolated
+        for k, cv, moved in _row_moves(s, a, b, c):
+            # a fixed point moves onto the row itself: not isolated, but it joins nothing
             isolated = False
-            if cv == x:
-                continue
             if cv > bound:
                 frontier = True
                 continue
-            j = index[(cv, y, z) if cv <= y else (y, cv, z) if cv <= z else (y, z, cv)]
+            j = index[moved]
             ri, rj = find(i), find(j)
             # the smaller root stays, so find(i) ends as the least index of i's component
             parent[max(ri, rj)] = min(ri, rj)
@@ -267,11 +259,6 @@ def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classific
     ]
 
 
-def _conjugate_numerators(s: int, a: int, b: int, c: int) -> tuple[int, int, int]:
-    """2yz - s*x for each component x of a row: its conjugate times s."""
-    return (2 * b * c - s * a, 2 * a * c - s * b, 2 * a * b - s * c)
-
-
 def _conjugate_texts(s: int, a: int, b: int, c: int) -> list[str]:
     """str() of the row's conjugates as `Fraction`s, each reduced by one gcd.  Those
     of a base row (s, p, p) are (2p^2 - s^2)/s, p and p: one gcd in all."""
@@ -281,32 +268,29 @@ def _conjugate_texts(s: int, a: int, b: int, c: int) -> list[str]:
     return [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, a, b, c)]
 
 
+# the four writers' chunk formats, by (csv, classified)
+_ROW_FORMATS = {
+    (True, False): lambda batch: "".join([f"{s},{a},{b},{c}\r\n" for s, a, b, c in batch]),
+    (False, False): lambda batch: "".join([f'{{"s": {s}, "triple": [{a}, {b}, {c}]}}\n' for s, a, b, c in batch]),
+    (True, True): lambda batch: "".join(
+        [f"{s},{a},{b},{c},{'|'.join(t)},{x},{y},{z}\r\n" for s, a, b, c, t, _, _, (x, y, z) in batch]
+    ),
+    (False, True): lambda batch: "".join([
+        f'{{"s": {s}, "triple": [{a}, {b}, {c}], "tags": {_TAG_JSON.get(t) or json.dumps(list(t))}, "family": '
+        f'{"null" if f is None else f"[{f[0]}, {f[1]}, {f[2]}]"}, "component": {k}, "conjugates": ["{x}", "{y}", "{z}"]}}\n'
+        for s, a, b, c, t, f, k, (x, y, z) in batch
+    ]),
+}
+
+
 def _row_chunks(records, csv: bool, classified: bool):
-    """The four writers' text in pieces of _CHUNK_LINES records: (s, a, b, c), or
-    (s, a, b, c, tags, family, component, conjugates) for a classification,
+    """The four writers' text in the chunks of `_chunked`, from records (s, a, b, c),
+    or (s, a, b, c, tags, family, component, conjugates) for a classification,
     each conjugate a str or a Fraction.  Each record is unpacked as it is
     formatted; none is kept past its line."""
     if csv:
         yield "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n" if classified else "s,a,b,c\r\n"
-    records = iter(records)
-    while True:
-        batch = islice(records, _CHUNK_LINES)
-        if not classified:
-            if csv:
-                chunk = "".join([f"{s},{a},{b},{c}\r\n" for s, a, b, c in batch])
-            else:
-                chunk = "".join([f'{{"s": {s}, "triple": [{a}, {b}, {c}]}}\n' for s, a, b, c in batch])
-        elif csv:
-            chunk = "".join([f"{s},{a},{b},{c},{'|'.join(t)},{x},{y},{z}\r\n" for s, a, b, c, t, _, _, (x, y, z) in batch])
-        else:
-            chunk = "".join([
-                f'{{"s": {s}, "triple": [{a}, {b}, {c}], "tags": {_TAG_JSON.get(t) or json.dumps(list(t))}, "family": '
-                f'{"null" if f is None else f"[{f[0]}, {f[1]}, {f[2]}]"}, "component": {k}, "conjugates": ["{x}", "{y}", "{z}"]}}\n'
-                for s, a, b, c, t, f, k, (x, y, z) in batch
-            ])
-        if not chunk:
-            return
-        yield chunk
+    yield from _chunked(records, _ROW_FORMATS[csv, classified])
 
 
 def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool):

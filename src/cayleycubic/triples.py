@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd
 
 from .errors import InvariantError, NotASolutionError
@@ -39,8 +40,18 @@ __all__ = [
 
 COMPONENT_NAMES = ("a", "b", "c")
 
-# lines per chunk of the graph and tree writers; 1024 used less RSS, but the next operations ran ~2% slower
+# lines per chunk of every streamed writer; 1024 used less RSS, but the next operations ran ~2% slower
 _CHUNK_LINES = 4096
+
+
+def _chunked(items, fmt, sep: str = ""):
+    """fmt(batch) for each batch of up to _CHUNK_LINES `items`, and `sep` as a piece of its own
+    between two chunks, so no chunk is copied; no chunk is kept once it is yielded."""
+    items = iter(items)
+    for k, first in enumerate(items):
+        if k and sep:
+            yield sep
+        yield fmt(chain((first,), islice(items, _CHUNK_LINES - 1)))
 
 
 def _decimal_table(triples) -> dict[int, str]:
@@ -107,24 +118,27 @@ def _conjugate(s: int, comps: tuple[int, int, int], index: int) -> int | None:
     return None if r else q - comps[index]
 
 
+def _conjugate_numerators(s: int, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """2yz - s*x for each component x of (a, b, c): its conjugate times s."""
+    return (2 * b * c - s * a, 2 * a * c - s * b, 2 * a * b - s * c)
+
+
+def _row_moves(s: int, a: int, b: int, c: int):
+    """(k, v, moved row) for each component k of a sorted row (a, b, c) whose conjugate v
+    is a positive integer, fixed points included: one divmod(2yz, s) per component,
+    y <= z the other two, and the moved row sorted by inserting v."""
+    for k, x, y, z in ((0, a, b, c), (1, b, a, c), (2, c, a, b)):
+        q, r = divmod(2 * y * z, s)
+        if not r and (v := q - x) >= 1:
+            yield k, v, (v, y, z) if v <= y else (y, v, z) if v <= z else (y, z, v)
+
+
 def conjugate_component(t: Triple, index: int) -> Fraction:
     """The other root of the surface read as a quadratic in the chosen component."""
     _require_solution(t)
     if index not in (0, 1, 2):
         raise ValueError(f"component index must be 0, 1 or 2, got {index}")
-    comps = t.components
-    y, z = (comps[j] for j in range(3) if j != index)
-    return Fraction(2 * y * z - t.s * comps[index], t.s)
-
-
-def _integral_moves(s: int, comps: tuple[int, int, int]):
-    """(component index, conjugate, sorted resulting triple) for every
-    conjugate that is a positive integer different from the component it
-    replaces."""
-    for i in range(3):
-        v = _conjugate(s, comps, i)
-        if v is not None and v >= 1 and v != comps[i]:
-            yield i, v, tuple(sorted(comps[:i] + (v,) + comps[i + 1 :]))
+    return Fraction(_conjugate_numerators(t.s, *t.components)[index], t.s)
 
 
 def neighbors(t: Triple) -> list[Triple]:
@@ -136,7 +150,8 @@ def neighbors(t: Triple) -> list[Triple]:
     through different components are not merged here.
     """
     _require_solution(t)
-    return [t.replace(i, v) for i, v, _ in _integral_moves(t.s, t.components)]
+    comps = t.components
+    return [t.replace(i, v) for i in range(3) if (v := _conjugate(t.s, comps, i)) is not None and v >= 1 and v != comps[i]]
 
 
 def family_triple(s: int, b: int, n: int, m: int) -> Triple:
@@ -241,24 +256,22 @@ class SolutionGraph:
             names = [f"{text[a]},{text[b]},{text[c]}" for a, b, c in self.vertices]
             frontier = set(self.frontier)
             yield "graph cayley {\n"
-            for k in range(0, len(names), _CHUNK_LINES):
-                batch = enumerate(names[k : k + _CHUNK_LINES], k)
-                yield "".join([f'  "{name}"{" [peripheries=2]" if i in frontier else ""};\n' for i, name in batch])
-            for k in range(0, len(self.edges), _CHUNK_LINES):
-                batch = self.edges[k : k + _CHUNK_LINES]
-                yield "".join([f'  "{names[i]}" -- "{names[j]}" [label="{COMPONENT_NAMES[c]}"];\n' for i, j, c in batch])
+            yield from _chunked(
+                enumerate(names),
+                lambda batch: "".join([f'  "{name}"{" [peripheries=2]" if i in frontier else ""};\n' for i, name in batch]),
+            )
+            yield from _chunked(
+                self.edges,
+                lambda batch: "".join([f'  "{names[i]}" -- "{names[j]}" [label="{COMPONENT_NAMES[c]}"];\n' for i, j, c in batch]),
+            )
             yield "}\n"
             return
         yield f'{{"s": {self.s}, "bound": {self.bound}, "vertices": ['
-        for k in range(0, len(self.vertices), _CHUNK_LINES):
-            if k:
-                yield ", "
-            yield ", ".join([f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in self.vertices[k : k + _CHUNK_LINES]])
+        yield from _chunked(
+            self.vertices, lambda batch: ", ".join([f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in batch]), ", "
+        )
         yield '], "edges": ['
-        for k in range(0, len(self.edges), _CHUNK_LINES):
-            if k:
-                yield ", "
-            yield json.dumps(self.edges[k : k + _CHUNK_LINES])[1:-1]
+        yield from _chunked(self.edges, lambda batch: json.dumps(list(batch))[1:-1], ", ")
         yield f'], "frontier": {json.dumps(self.frontier)}}}'
 
     def to_json(self) -> str:
@@ -328,9 +341,10 @@ def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
     frontier = set()
     while queue:
         cur = queue.popleft()
-        # moves come in component order, so the first label of an edge is its least
-        for comp, _, nxt in _integral_moves(s, cur):
-            if max(nxt) > bound:
+        # moves come in component order, so the first label of an edge is its least;
+        # a fixed point moves onto cur itself and adds nothing
+        for comp, v, nxt in _row_moves(s, *cur):
+            if v > bound:
                 frontier.add(cur)
                 continue
             if nxt not in seen:

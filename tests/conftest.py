@@ -11,3 +11,23 @@ def s1_solutions_2000():
     couple of seconds, so compute it once per session.
     """
     return enumerate_solutions(1, 2000)
+
+
+def chunk_sizes(*counts):
+    """Sizes to patch into `triples._CHUNK_LINES` for writers of `counts` items: for
+    each count n, n - 1, n and n + 1, and when n >= 3 the least k >= 2 that divides
+    n and the least that leaves one item over."""
+    sizes = set()
+    for n in counts:
+        sizes |= {n - 1, n, n + 1}
+        if n >= 3:
+            sizes.add(next(k for k in range(2, n + 1) if n % k == 0))
+            sizes.add(next(k for k in range(2, n) if n % k == 1))
+    return sorted(k for k in sizes if k >= 1)
+
+
+def chunk_pieces(n, k, sep):
+    """The pieces `triples._chunked` yields for n items in chunks of k: ceil(n / k)
+    chunks, and with a separator one more piece between each two."""
+    chunks = -(-n // k)
+    return chunks + (max(chunks - 1, 0) if sep else 0)

@@ -27,7 +27,9 @@ from cayleycubic import (
     solution_graph,
 )
 from cayleycubic import triples
-from cayleycubic.triples import _conjugate, _integral_moves
+from cayleycubic.cli import run
+from cayleycubic.triples import _conjugate
+from conftest import chunk_pieces, chunk_sizes
 
 
 def conjugate_roots(s, y, z):
@@ -42,6 +44,17 @@ def conjugate_roots(s, y, z):
     r = isqrt(disc)
     assert r * r == disc
     return Fraction(y * z - r, s), Fraction(y * z + r, s)
+
+
+def moves_oracle(s, comps):
+    """(component, sorted moved triple) for each conjugate that is a positive
+    integer other than the component: the other root of `conjugate_roots`,
+    so the graph oracle shares no code with the kernel it checks."""
+    for i in range(3):
+        lo, hi = conjugate_roots(s, *(comps[j] for j in range(3) if j != i))
+        v = lo + hi - comps[i]
+        if v.denominator == 1 and v >= 1 and v != comps[i]:
+            yield i, tuple(sorted(comps[:i] + (int(v),) + comps[i + 1 :]))
 
 
 def test_cayley_value_examples():
@@ -377,7 +390,7 @@ def two_pass_solution_graph(seed, bound):
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for _, _, nxt in _integral_moves(s, cur):
+        for _, nxt in moves_oracle(s, cur):
             if max(nxt) <= bound and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -387,7 +400,7 @@ def two_pass_solution_graph(seed, bound):
     frontier = set()
     for v in vertices:
         i = index[v]
-        for comp, _, w in _integral_moves(s, v):
+        for comp, w in moves_oracle(s, v):
             if max(w) > bound:
                 frontier.add(i)
                 continue
@@ -529,6 +542,34 @@ def test_chain_values_refuses_a_chain_that_does_not_increase():
 def test_writers_match_their_oracles(g):
     assert g.to_json() == json.dumps(g.as_dict())
     assert g.to_dot() == dot_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "seed, bound",
+    [
+        (Triple(1, 1, 2, 2), 10**20),  # a chain seed: 193 vertices, 192 edges
+        (Triple(7, 8, 17, 28), 10**30),  # value space: 65 vertices, 64 edges
+        (Triple(3, 3, 4, 4), 10**5),  # one vertex, no edges
+    ],
+)
+def test_graph_writers_at_chunk_boundaries(monkeypatch, capsys, seed, bound):
+    g = solution_graph(seed, bound)
+    v, e = len(g.vertices), len(g.edges)
+    want_json, want_dot = json.dumps(g.as_dict()), dot_oracle(g)
+    argv = ["graph", "--s", str(seed.s), "--seed", ",".join(map(str, seed.components)), "--bound", str(bound)]
+    for k in chunk_sizes(v, e):
+        monkeypatch.setattr(triples, "_CHUNK_LINES", k)
+        chunks = list(g._chunks(dot=False))
+        # the head, "], edges": [" and the tail, around the vertex and edge chunks and their ", " pieces
+        assert len(chunks) == 3 + chunk_pieces(v, k, True) + chunk_pieces(e, k, True)
+        assert "".join(chunks) == g.to_json() == want_json
+        chunks = list(g._chunks(dot=True))
+        assert len(chunks) == 2 + chunk_pieces(v, k, False) + chunk_pieces(e, k, False)
+        assert "".join(chunks) == g.to_dot() == want_dot
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want_json + "\n"
+        assert run(argv + ["--format", "dot"]) == 0
+        assert capsys.readouterr().out == want_dot
 
 
 def test_s1_ordering_invariant(s1_solutions_2000):

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import os
 import subprocess
@@ -493,6 +494,15 @@ def test_search_jsonl(capsys):
     assert json.loads(lines[-1]) == {"s": 5, "triple": [5, 10, 10]}
 
 
+def test_pell_oracle_refuses_its_trial_divisions_up_front(capsys):
+    # d = 10^14 + 31: the factoring of d alone would take 10^7 - 1 trial divisions
+    d = str(10**14 + 31)
+    assert run(["pell-oracle", "--d", d, "--rhs", "1", "--bound", d, "--budget", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pell-oracle needs up to 9999999 trial divisions, budget is 1\n"
+
+
 def test_search_budget_flag(capsys):
     code = run(["search", "--s", "1", "--bound", "100", "--budget", "10"])
     captured = capsys.readouterr()
@@ -503,7 +513,8 @@ def test_search_budget_flag(capsys):
 def test_failed_result_check_exits_1(capsys, monkeypatch):
     from cayleycubic import pell
 
-    monkeypatch.setattr(pell, "scaled_cheb_u", lambda s, y, n: 0)
+    # a companion of zeros: the first member (2, 0) already fails z^2 - 3a^2 = 1
+    monkeypatch.setattr(pell, "_recurrence", lambda *args: itertools.repeat(0))
     code = run(["pell-one", "--s", "1", "--y", "2", "--count", "2"])
     captured = capsys.readouterr()
     assert code == 1

@@ -24,7 +24,10 @@ from cayleycubic import (
     splitting_identity_holds,
 )
 from cayleycubic import markov as mk
+from cayleycubic import triples
+from cayleycubic.cli import run
 from cayleycubic.markov import _cohn_trace
+from conftest import chunk_pieces, chunk_sizes
 
 
 def drop_last_or_zero(word):
@@ -135,6 +138,27 @@ def test_markov_tree_matches_neighbor_bfs(depth):
     assert markov_tree_dot(depth) == reference_tree_dot(seen, parents)
     # the JSON writer against json.dumps of the reference triples
     assert markov_tree_json(depth) == json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
+
+
+@pytest.mark.parametrize("depth", [1, 6, 9])
+def test_markov_tree_writers_at_chunk_boundaries(monkeypatch, capsys, depth):
+    seen, parents = neighbor_bfs_levels(depth)
+    n = len(seen)
+    want_json = json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
+    want_dot = reference_tree_dot(seen, parents)
+    for k in chunk_sizes(n, n - 1):
+        monkeypatch.setattr(triples, "_CHUNK_LINES", k)
+        chunks = list(mk._tree_chunks(depth, None, dot=False))
+        assert len(chunks) == 2 + chunk_pieces(n, k, True)
+        assert "".join(chunks) == markov_tree_json(depth) == want_json
+        # n triples, then the n - 1 edges: every triple but (1, 1, 1) has a parent
+        chunks = list(mk._tree_chunks(depth, None, dot=True))
+        assert len(chunks) == 2 + chunk_pieces(n, k, False) + chunk_pieces(n - 1, k, False)
+        assert "".join(chunks) == markov_tree_dot(depth) == want_dot
+        assert run(["markov-tree", "--depth", str(depth)]) == 0
+        assert capsys.readouterr().out == want_json + "\n"
+        assert run(["markov-tree", "--depth", str(depth), "--format", "dot"]) == 0
+        assert capsys.readouterr().out == want_dot
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.11")

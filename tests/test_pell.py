@@ -121,11 +121,11 @@ def test_family_one_members_check_the_base_for_any_count(count):
 
 
 def test_family_one_members_check_every_member(monkeypatch):
-    # a wrong second member (unchecked here) makes the third fail its equation
-    one = pell_family_one
-    monkeypatch.setattr(pl, "pell_family_one", lambda s, y, n: one(s, y, n)._replace(a=one(s, y, n).a + (n == 2)))
+    # the chain value X_3 = 26 off by one: the third member is the first wrong one
+    chain = pl._scaled_chain
+    monkeypatch.setattr(pl, "_scaled_chain", lambda s, y: (x + (k == 3) for k, x in enumerate(chain(s, y))))
     assert len(pl.pell_family_one_members(1, 2, 2)) == 2
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"chain solution PellSolution\(z=27, a=15\) fails"):
         pl.pell_family_one_members(1, 2, 3)
 
 
@@ -382,6 +382,28 @@ def test_oracle_budget_refuses_before_any_scan(monkeypatch, inst, bound, planned
     monkeypatch.setattr(pl, "_oracle_range", no_scan)
     with pytest.raises(BudgetExceededError, match=f"needs {planned} scanned values, budget is {planned - 1}$"):
         pell_oracle(inst, bound, budget=planned - 1)
+
+
+@pytest.mark.parametrize(
+    "d, bound, trials",
+    [
+        (10**6 + 3, 10**6, 999),  # isqrt(min(d, bound)) - 1 = 999
+        (10**6 + 3, 10**4, 99),  # the bound caps the factoring too
+        (3, 10**6, 0),  # 2^2 > 3: no trial division
+    ],
+)
+def test_oracle_budget_refuses_before_factoring(monkeypatch, d, bound, trials):
+    def no_unit(*args):
+        raise AssertionError("a refused oracle must not search for the unit")
+
+    monkeypatch.setattr(pl, "_fundamental_unit", no_unit)
+    monkeypatch.setattr(pl, "_oracle_range", no_unit)
+    if trials:
+        with pytest.raises(BudgetExceededError, match=f"needs up to {trials} trial divisions, budget is {trials - 1}$"):
+            pell_oracle(PellInstance(d, 1), bound, budget=trials - 1)
+    # trial divisions within the budget: the factoring runs and the oracle goes on to the unit
+    with pytest.raises(AssertionError, match="must not search"):
+        pell_oracle(PellInstance(d, 1), bound, budget=trials)
 
 
 @pytest.mark.parametrize(

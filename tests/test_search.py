@@ -25,9 +25,11 @@ from cayleycubic import (
     triples_to_jsonl,
 )
 from cayleycubic import search as sr
+from cayleycubic import triples
 from cayleycubic.cli import run
 from cayleycubic.search import TAG_ORDER, Classification
 from cayleycubic.triples import _conjugate, base_value
+from conftest import chunk_sizes
 
 
 def _grid_enumerate(s, bound):
@@ -738,19 +740,12 @@ def test_search_input_checks(call, error, message):
         call()
 
 
-def _chunk_sizes(n):
-    """Chunk sizes k >= 2 that divide n rows exactly, and that leave one row over."""
-    exact = next(k for k in range(2, n + 1) if n % k == 0)
-    over = next(k for k in range(2, n) if n % k == 1)
-    return exact, over
-
-
 @pytest.mark.parametrize("s, bound", [(1, 120), (12, 150), (24, 200)])
 def test_cli_chunks_at_their_boundaries(monkeypatch, capsys, s, bound):
     sols, ref = enumerate_solutions(s, bound), _reference_classify(s, bound)
     n = len(sols)
-    for k in (*_chunk_sizes(n), n - 1, n, n + 1):
-        monkeypatch.setattr(sr, "_CHUNK_LINES", k)
+    for k in chunk_sizes(n):
+        monkeypatch.setattr(triples, "_CHUNK_LINES", k)
         for cmd, fmt, want in (
             ("search", "csv", _triples_csv_oracle(sols)),
             ("search", "jsonl", _triples_jsonl_oracle(sols)),
@@ -767,7 +762,7 @@ def test_cli_chunks_at_their_boundaries(monkeypatch, capsys, s, bound):
 def test_cli_past_two_default_chunks(capsys):
     # 8 286 rows: two whole chunks of 4096 and a part of a third
     sols = enumerate_solutions(1, 8200)
-    assert len(sols) > 2 * sr._CHUNK_LINES
+    assert len(sols) > 2 * triples._CHUNK_LINES
     assert run(["search", "--s", "1", "--bound", "8200", "--format", "csv"]) == 0
     _assert_same_text(capsys.readouterr().out, _triples_csv_oracle(sols))
     assert run(["classify", "--s", "1", "--bound", "8200"]) == 0
@@ -777,7 +772,7 @@ def test_cli_past_two_default_chunks(capsys):
 @pytest.mark.parametrize("cmd", ["search", "classify"])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_cli_refusals_write_no_chunk(monkeypatch, capsys, cmd, fmt):
-    monkeypatch.setattr(sr, "_CHUNK_LINES", 2)
+    monkeypatch.setattr(triples, "_CHUNK_LINES", 2)
     assert run([cmd, "--s", "1", "--bound", "100", "--budget", "5049", "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
