@@ -102,7 +102,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    t = tr.family_triple(args.s, args.b, args.n, args.m)
+    t = tr.family_triple(args.s, args.b, args.n, args.m, budget=_budget(args))
     payload = {"s": args.s, "b": args.b, "n": args.n, "m": args.m}
     _emit(
         args,
@@ -215,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
+    p.add_argument("--budget", type=int, default=None, help="cap on the digits of a value (env CAYLEY_BUDGET)")
     fmt(p, ("json", "text"), "text")
     p.set_defaults(func=_cmd_family, notes=("chebyshev",))
 

@@ -117,7 +117,7 @@ def _family_two_at(s: int, y: int) -> PellInstance:
 
 
 def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
-    """(z, a) = (chain(m), s*(chain(n+m) - chain(|n-m|)) / 2), read in one pass.
+    """(z, a) = (chain(m), s*(chain(n+m) - chain(|n-m|)) / 2).
 
     The difference term carries the factor s/2; without it the defining
     identity fails for every s != 2.
@@ -126,7 +126,7 @@ def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
         raise ValueError(f"m must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    xn, xm, top, low = _terms(_scaled_chain(s, p), n, m, n + m, abs(n - m))
+    xn, xm, top, low = _terms(family_multiplier(s, p), 1, s, p, n, m, n + m, abs(n - m))
     inst = _family_two_at(s, xn)
     # s*(X_{n+m} - X_{|n-m|}) = 2*X_n*X_m - 2s*X_{|n-m|} by the product rule, so it is even
     sol = PellSolution(xm, s * (top - low) // 2)

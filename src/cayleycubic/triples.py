@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
 
-from .errors import InvariantError, NotASolutionError
-from .sequences import _chain_values, _scaled_chain, _terms
+from .errors import BudgetExceededError, InvariantError, NotASolutionError
+from .sequences import _chain_values, _terms, family_multiplier
 
 __all__ = [
     "COMPONENT_NAMES",
@@ -154,13 +154,26 @@ def neighbors(t: Triple) -> list[Triple]:
     return [t.replace(i, v) for i in range(3) if (v := _conjugate(t.s, comps, i)) is not None and v >= 1 and v != comps[i]]
 
 
-def family_triple(s: int, b: int, n: int, m: int) -> Triple:
-    """(X_n, X_{n+m}, X_m) from one pass of the scaled Chebyshev chain at base (s, b)."""
+def family_triple(s: int, b: int, n: int, m: int, *, budget: int | None = None) -> Triple:
+    """(X_n, X_{n+m}, X_m) of the scaled Chebyshev chain at base (s, b), each by index doubling.
+
+    The plan bounds the decimal digits of each value, from none of them: with
+    d = 2b/s, the chain stays within s when d <= 2, and when d >= 3 it grows,
+    by at most d a step, so each value is at most b*d^(n+m-1) < 2^L with
+    L = bl(b) + (n+m-1)*bl(d^64)/64 (bl the bit length); log10(2) < 0.30103.
+    BudgetExceededError, before any term is computed, when it exceeds `budget`.
+    """
     if n < 0 or m < 0:
         raise ValueError(f"chain indices must be non-negative, got ({n}, {m})")
     if n == 0 and m == 0:
         raise ValueError("indices (0, 0) give the degenerate triple (s, s, s) twice over")
-    return Triple(s, *_terms(_scaled_chain(s, b), n, n + m, m))
+    mult = family_multiplier(s, b)
+    if budget is not None:
+        growth = (n + m - 1) * (mult**64).bit_length() if mult > 2 else 0
+        bits64 = 64 * max(s, b).bit_length() + growth
+        if (planned := bits64 * 30103 // 6_400_000 + 1) > budget:
+            raise BudgetExceededError(f"family needs up to {planned} digits per value, budget is {budget}")
+    return Triple(s, *_terms(mult, 1, s, b, n, n + m, m))
 
 
 def is_singular(t: Triple) -> bool:

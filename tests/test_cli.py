@@ -123,6 +123,34 @@ def test_family_prints_components_past_the_digit_limit(capsys):
         assert json.loads(blob)["triple"] == list(t.components)
 
 
+def test_family_budget_refuses_before_any_term(capsys, monkeypatch):
+    from cayleycubic import triples
+
+    def no_terms(*args):
+        raise AssertionError("a refused family must not compute a term")
+
+    argv = ["family", "--s", "3", "--b", "6", "--n", "1000000000", "--m", "1"]
+    with monkeypatch.context() as m:
+        m.setattr(triples, "_terms", no_terms)
+        for fmt in ("text", "json"):
+            assert run(argv + ["--budget", "1000000", "--format", fmt]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: family needs up to 606763595 digits per value, budget is 1000000" in captured.err
+        monkeypatch.setenv("CAYLEY_BUDGET", "1000000")
+        assert run(argv) == 1
+        assert capsys.readouterr().out == ""
+    # X_8001 has 4576 digits; the plan bounds it by 4856
+    argv = ["family", "--s", "3", "--b", "6", "--n", "8000", "--m", "1"]
+    assert run(argv + ["--budget", "4855"]) == 1
+    assert "needs up to 4856 digits per value, budget is 4855" in capsys.readouterr().err
+    monkeypatch.setenv("CAYLEY_BUDGET", "4856")
+    assert run(argv) == 0
+    t = family_triple(3, 6, 8000, 1)
+    with unlimited_digits():
+        assert capsys.readouterr().out == "{},{},{}\n".format(*t.components)
+
+
 def test_reduce_accepts_components_past_the_digit_limit(capsys):
     t = family_triple(3, 6, 8000, 4000)
     with unlimited_digits():

@@ -164,11 +164,11 @@ def test_family_one_rejects_a_wrong_companion(monkeypatch):
 
 
 def test_family_two_rejects_a_wrong_chain_value(monkeypatch):
-    # the one chain pass is off by 2 at index m = 3 only: the instance (n = 1)
+    # the chain value at index m = 3 alone is off by 2: the instance (n = 1)
     # and the difference term (indices 4 and 2) keep their true values
-    chain = pl._scaled_chain
+    terms = pl._terms
     monkeypatch.setattr(
-        pl, "_scaled_chain", lambda s, p: (x + (2 if k == 3 else 0) for k, x in enumerate(chain(s, p)))
+        pl, "_terms", lambda *args: tuple(x + (2 if k == 3 else 0) for k, x in zip(args[4:], terms(*args)))
     )
     with pytest.raises(InvariantError):
         pell_family_two(1, 4, 1, 3)

@@ -1,8 +1,11 @@
+from itertools import islice
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cayleycubic import (
+    BudgetExceededError,
     NonIntegralFamilyError,
     cheb_t,
     cheb_u,
@@ -193,6 +196,71 @@ def test_pell_families_match_a_loop():
             for m in range(1, 13):
                 # s*(X_{n+m} - X_{|n-m|}) is even on every base here
                 assert pell_family_two(s, y, n, m) == (xs[m], s * (xs[n + m] - xs[abs(n - m)]) // 2)
+
+
+# the ladder's edge cases: 2^k - 1 climbs only 1 bits, 2^k doubles only after its top bit
+LADDER_INDICES = [0, 1, 2] + [i for k in range(2, 14) for i in (2**k - 1, 2**k, 2**k + 1)]
+
+
+def test_terms_match_a_loop_at_every_bit_pattern_edge():
+    for s, b, mult in ORACLE_BASES:
+        xs = _loop(mult, s, b, 2**13 + 2)
+        assert sq._terms(mult, 1, s, b, *LADDER_INDICES) == tuple(xs[i] for i in LADDER_INDICES)
+
+
+def test_family_triple_far_out_matches_a_loop():
+    xs = _loop(4, 3, 6, 8002)
+    assert family_triple(3, 6, 8000, 1).components == (xs[8000], xs[8001], xs[1])
+
+
+def test_negative_indices_are_refused():
+    for call in (
+        lambda: sq._terms(4, 1, 3, 6, 2, -1),
+        lambda: lucas_u(1, -1, -1),
+        lambda: lucas_v(1, -1, -1),
+        lambda: cheb_u(-1, 2),
+        lambda: scaled_cheb_t(3, 6, -1),
+        lambda: scaled_cheb_u(3, 6, -1),
+        lambda: family_triple(3, 6, 2, -1),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
+
+
+def _walk(t, q, x0, x1, n):
+    """X_n by n steps of the library's one-pass recurrence: the slow reference."""
+    return next(islice(sq._recurrence(t, q, x0, x1), n, None))
+
+
+@given(
+    t=st.integers(min_value=-6, max_value=6),
+    q=st.integers(min_value=-3, max_value=3),
+    n=st.integers(min_value=0, max_value=300),
+)
+@example(t=-5, q=0, n=300)
+@example(t=0, q=-3, n=257)
+@settings(max_examples=200, deadline=None)
+def test_lucas_ladder_matches_the_walk(t, q, n):
+    assert lucas_u(t, q, n) == _walk(t, q, 0, 1, n)
+    assert lucas_v(t, q, n) == _walk(t, q, 2, t, n)
+
+
+@given(x=st.integers(min_value=1, max_value=60), n=st.integers(min_value=0, max_value=300))
+@settings(max_examples=100, deadline=None)
+def test_cheb_ladder_matches_a_loop(x, n):
+    assert cheb_t(n, x) == _loop(2 * x, 1, x, n + 1)[n]
+    assert cheb_u(n, x) == _loop(2 * x, 1, 2 * x, n + 1)[n]
+
+
+def test_family_plan_bounds_the_digits():
+    # refused at one digit below the largest value, and allowed a quarter above it
+    for s, b, mult in ORACLE_BASES:
+        xs = _loop(mult, s, b, 201)
+        for k in range(1, 201):
+            digits = len(str(xs[k]))
+            with pytest.raises(BudgetExceededError):
+                family_triple(s, b, k, 0, budget=digits - 1)
+            assert family_triple(s, b, k, 0, budget=digits * 5 // 4 + 1).a == xs[k]
 
 
 @given(
