@@ -93,12 +93,13 @@ def _notes(args) -> None:
 
 def _cmd_verify(args) -> int:
     t = tr.Triple(args.s, *args.triple)
+    value = t.value
     _emit(
         args,
-        lambda: json.dumps({"s": t.s, "triple": list(t.components), "value": t.value, "solution": t.is_solution}),
-        lambda: f"value {t.value}: {'solution' if t.is_solution else 'not a solution'}",
+        lambda: json.dumps({"s": t.s, "triple": list(t.components), "value": value, "solution": value == 0}),
+        lambda: f"value {value}: {'solution' if value == 0 else 'not a solution'}",
     )
-    return 0 if t.is_solution else 1
+    return 0 if value == 0 else 1
 
 
 def _cmd_family(args) -> int:

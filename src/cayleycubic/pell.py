@@ -105,11 +105,7 @@ def family_two_instance(s: int, p: int, n: int) -> PellInstance:
     """The equation a^2 - d*z^2 = -s^2*d with d = chain(n)^2 - s^2 at base (s, p)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _family_two_at(s, scaled_cheb_t(s, p, n))
-
-
-def _family_two_at(s: int, y: int) -> PellInstance:
-    """The family-two equation of the chain value y."""
+    y = scaled_cheb_t(s, p, n)
     if y <= s:
         raise DegeneratePellError(f"chain value {y} does not exceed s={s}")
     d = y * y - s * s
@@ -124,10 +120,8 @@ def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    xn, xm, top, low = _terms(family_multiplier(s, p), 1, s, p, n, m, n + m, abs(n - m))
-    inst = _family_two_at(s, xn)
+    inst = family_two_instance(s, p, n)
+    xm, top, low = _terms(family_multiplier(s, p), 1, s, p, m, n + m, abs(n - m))
     # s*(X_{n+m} - X_{|n-m|}) = 2*X_n*X_m - 2s*X_{|n-m|} by the product rule, so it is even
     sol = PellSolution(xm, s * (top - low) // 2)
     if not inst.holds(*sol):

@@ -21,6 +21,7 @@ library callers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -193,14 +194,14 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
     sorts earlier (one component got smaller), so each row takes its
     parent's terminal base; one without such a move is a terminal.  The
     family is then read off that base's chain with the checks of
-    `family_membership`, one value-to-index table per base.
+    `family_membership`, one value-to-index table per base.  Moved rows are
+    found by bisection; `parent` holds only the rows a move touched.
     """
-    index = {r: i for i, r in enumerate(rows)}
-    parent = list(range(len(rows)))
+    parent = {}
 
     def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
+        while (up := parent.get(i, i)) != i:
+            parent[i] = parent.get(up, up)
             i = parent[i]
         return i
 
@@ -224,7 +225,9 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             if cv > bound:
                 frontier = True
                 continue
-            j = index[moved]
+            j = bisect_left(rows, moved)
+            if j == len(rows) or rows[j] != moved:
+                raise InvariantError(f"the move of {(a, b, c)} lands on {moved}, which was not enumerated")
             ri, rj = find(i), find(j)
             # the smaller root stays, so find(i) ends as the least index of i's component
             parent[max(ri, rj)] = min(ri, rj)
@@ -244,7 +247,7 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             fam = _chain_family(s, (a, b, c), p, chains[p])
         tags.append(_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3])
         fams.append(fam)
-    return tags, fams, [find(i) for i in range(len(rows))]
+    return tags, fams, [find(i) if i in parent else i for i in range(len(rows))]
 
 
 def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classification]:

@@ -322,32 +322,33 @@ def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
     their smaller end) and frontier vertices are recorded as triples and
     renumbered after the sort, which keeps v < w exactly when i < j.
     """
-    _require_solution(seed)
+    # the trace checks the seed first: a non-solution is refused before the bound is read
+    low, p, high = reduction_trace(seed)[-1].components
     start = tuple(sorted(seed.components))
     if bound < max(start):
         raise ValueError("bound must cover the seed's maximal component")
     s = seed.s
-    low, p, high = reduction_trace(seed)[-1].components
     if low == s < p == high and 2 * p % s == 0:
         xs = _chain_values(s, p, bound)
         top = len(xs) - 1
-        pairs = [
-            (i, j) for i in range(top // 2 + 1) for j in range(max(i, 1), top - i + 1) if gcd(i, j) == 1
-        ]
-        index = {pair: k for k, pair in enumerate(pairs)}
-        vertices = tuple((xs[i], xs[j], xs[i + j]) for i, j in pairs)
-        edges = []
-        for k, (i, j) in enumerate(pairs):
+        # numbered only once all coprime pairs are in, so the numbers the edges keep sit apart from the freed pairs
+        index = dict.fromkeys((i, j) for i in range(top // 2 + 1) for j in range(max(i, 1), top - i + 1) if gcd(i, j) == 1)
+        for k, pair in enumerate(index):
+            index[pair] = k
+        vertices = tuple((xs[i], xs[j], xs[i + j]) for i, j in index)
+        edges, frontier = [], []
+        for k, (i, j) in enumerate(index):
             # (i, i+j) sorts before (j, i+j), so the edges come out sorted
             if 0 < i < j and 2 * i + j <= top:
                 edges.append((k, index[i, i + j], 1))
             if i + 2 * j <= top:
                 edges.append((k, index[j, i + j], 0))
+            else:
+                frontier.append(k)
         at = bisect_left(vertices, start)
         if at == len(vertices) or vertices[at] != start:
             raise InvariantError(f"seed {start} is not in the index-space component of base ({s}, {p})")
-        frontier = tuple(k for k, (i, j) in enumerate(pairs) if i + 2 * j > top)
-        return SolutionGraph(s, bound, vertices, tuple(edges), frontier)
+        return SolutionGraph(s, bound, vertices, tuple(edges), tuple(frontier))
     seen = {start}
     queue = deque([start])
     labels: dict[tuple, int] = {}

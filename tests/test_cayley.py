@@ -380,6 +380,26 @@ def test_seed_must_solve():
         solution_graph(Triple(3, 1, 2, 3), 100)
 
 
+def test_graph_checks_the_seed_once_and_before_the_bound(monkeypatch, capsys):
+    # a non-solution seed is refused as one, whatever the bound
+    with pytest.raises(NotASolutionError, match=r"\(s=3; 1,2,30\) is not a solution"):
+        solution_graph(Triple(3, 1, 2, 30), 10)
+    assert run(["--no-note-corrections", "graph", "--s", "3", "--seed", "1,2,30", "--bound", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: (s=3; 1,2,30) is not a solution (value 2568)\n"
+    # a solution below the bound is refused for the bound, a ValueError that is not NotASolutionError
+    with pytest.raises(ValueError, match="bound must cover") as exc:
+        solution_graph(Triple(3, 21, 4053, 291), 300)
+    assert not isinstance(exc.value, NotASolutionError)
+    checks = []
+    require = triples._require_solution
+    monkeypatch.setattr(triples, "_require_solution", lambda t: checks.append(t) or require(t))
+    for seed in (Triple(1, 2, 7, 26), Triple(10, 11, 17, 25)):
+        solution_graph(seed, 300)
+    assert checks == [Triple(1, 2, 7, 26), Triple(10, 11, 17, 25)]
+
+
 def two_pass_solution_graph(seed, bound):
     """Reference for solution_graph: a BFS for the vertex set, then a second
     pass over the sorted vertices that recomputes every vertex's moves for

@@ -69,6 +69,20 @@ def test_verify_text_format(capsys):
     assert capsys.readouterr().out == "value 0: solution\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("triple, value", [((21, 4053, 291), 0), ((1, 2, 3), 3)])
+def test_verify_evaluates_the_cubic_once(capsys, monkeypatch, fmt, triple, value):
+    reads = []
+    real = Triple.value.fget
+    monkeypatch.setattr(Triple, "value", property(lambda t: reads.append(t) or real(t)))
+    code = run(["verify", "--s", "3", "--triple", ",".join(map(str, triple)), "--format", fmt])
+    assert code == (0 if value == 0 else 1)
+    assert reads == [Triple(3, *triple)]
+    verdict = "solution" if value == 0 else "not a solution"
+    blob = {"s": 3, "triple": list(triple), "value": value, "solution": value == 0}
+    assert capsys.readouterr().out == (json.dumps(blob) if fmt == "json" else f"value {value}: {verdict}") + "\n"
+
+
 def test_verify_rejects_bad_component():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--s", "1", "--triple", "0,1,1"])

@@ -174,6 +174,29 @@ def test_family_two_rejects_a_wrong_chain_value(monkeypatch):
         pell_family_two(1, 4, 1, 3)
 
 
+def test_family_two_checks_its_member_against_the_instance(monkeypatch):
+    # the instance of n = 3 beside the member of n = 2: the member check must catch it
+    real = pl.family_two_instance
+    monkeypatch.setattr(pl, "family_two_instance", lambda s, p, n: real(s, p, n + 1))
+    with pytest.raises(InvariantError, match="fails"):
+        pell_family_two(1, 4, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        # each call fails every later check too: m, then n, then s | 2p, then the chain value
+        ((4, 3, 0, 0), ValueError, "m must be >= 1, got 0"),
+        ((4, 3, 0, 1), ValueError, "n must be >= 1, got 0"),
+        ((4, 3, 1, 1), NonIntegralFamilyError, "s=4 does not divide 2b=6"),
+        ((4, 2, 1, 1), DegeneratePellError, "chain value 2 does not exceed s=4"),
+    ],
+)
+def test_family_two_checks_in_order(args, error, message):
+    with pytest.raises(error, match=message):
+        pell_family_two(*args)
+
+
 def test_family_two_matches_oracle():
     inst = family_two_instance(1, 4, 2)
     got = pell_oracle(inst, 250)

@@ -637,6 +637,29 @@ def test_classify_checks_every_triple_solves(monkeypatch, capsys):
         assert captured.err == "error: (s=1; 60,60,61) is not a solution (value -428280)\n"
 
 
+@pytest.mark.parametrize(
+    "s, bound, dropped, mover",
+    [
+        # the move of (2, 7, 26) lands inside the list, where (2, 2, 7) would sort
+        (1, 30, (2, 2, 7), (2, 7, 26)),
+        # (9, 21, 43) is the last row: the move of (9, 11, 21) bisects past the end
+        (7, 43, (9, 21, 43), (9, 11, 21)),
+    ],
+)
+def test_classify_requires_every_moved_row_enumerated(monkeypatch, capsys, s, bound, dropped, mover):
+    real = sr._enumerate_range
+    monkeypatch.setattr(sr, "_enumerate_range", lambda *a: [r for r in real(*a) if r != dropped])
+    message = f"the move of {mover} lands on {dropped}, which was not enumerated"
+    with pytest.raises(InvariantError) as exc:
+        classify(s, bound)
+    assert str(exc.value) == message
+    for fmt in ("jsonl", "csv"):
+        assert run(["classify", "--s", str(s), "--bound", str(bound), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def _patch_chain(monkeypatch, edit):
     """Make search read the chain at base (1, 2) through `edit`; bound 100
     gives 1, 2, 7, 26, 97."""
