@@ -74,7 +74,6 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     # 3*bound^2 < s^2; returning here keeps the core table O(bound) however large s is.
     if s * s > 3 * bound * bound:
         return []
-    rows = [(s, b, b) for b in range(s, bound + 1)]
     core = _squarefree_cores(bound + s)
     # the signed class of x^2 - s^2; x = s (core[0] = 0) gets class 0
     key = [0] * (bound + 1)
@@ -86,7 +85,7 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     ss = s * s
     # the sort is stable: each class is one ascending run, and b pairs with
     # every member so far, itself included
-    members, last = [], 0
+    rows, members, last = [], [], 0
     for b in sorted(range(1, bound + 1), key=key.__getitem__):
         sf = key[b]
         if sf == 0:
@@ -99,6 +98,8 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
             c, rem = divmod(a * b + f * ga * gb, s)
             if rem == 0 and b <= c <= bound:
                 rows.append((a, b, c))
+    del key  # freed first: the class table and the base run's tuples are never alive together
+    rows += [(s, b, b) for b in range(s, bound + 1)]
     return rows
 
 
@@ -178,7 +179,7 @@ _TAG_JSON = {tags: json.dumps(list(tags)) for tags in _TAG_SETS}
 
 
 def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
-    """(tags, family, component) of each sorted solution row (a, b, c): the pass of `classify`.
+    """The pass of `classify`: each sorted row's (tags, family, component), by an iterator that finds components as read.
 
     Each row is first checked to solve the cubic, exactly in integers.  A
     base row (s, p, p), p >= s, most of the output, is then settled in
@@ -247,7 +248,7 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             fam = _chain_family(s, (a, b, c), p, chains[p])
         tags.append(_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3])
         fams.append(fam)
-    return tags, fams, [find(i) if i in parent else i for i in range(len(rows))]
+    return zip(tags, fams, (find(i) if i in parent else i for i in range(len(rows))))
 
 
 def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classification]:
@@ -258,7 +259,7 @@ def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classific
     rows = _solution_rows(s, bound, budget)
     return [
         Classification(Triple(s, a, b, c), t, f, k, tuple(Fraction(n, s) for n in _conjugate_numerators(s, a, b, c)))
-        for (a, b, c), t, f, k in zip(rows, *_classify_rows(s, bound, rows))
+        for (a, b, c), (t, f, k) in zip(rows, _classify_rows(s, bound, rows))
     ]
 
 
@@ -303,11 +304,8 @@ def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool)
     rows = _solution_rows(s, bound, budget)
     if not classified:
         return _row_chunks(((s, a, b, c) for a, b, c in rows), csv, False)
-    tags, fams, comps = _classify_rows(s, bound, rows)
-    records = (
-        (s, a, b, c, t, f, k, _conjugate_texts(s, a, b, c)) for (a, b, c), t, f, k in zip(rows, tags, fams, comps)
-    )
-    return _row_chunks(records, csv, True)
+    tagged = zip(rows, _classify_rows(s, bound, rows))
+    return _row_chunks(((s, a, b, c, t, f, k, _conjugate_texts(s, a, b, c)) for (a, b, c), (t, f, k) in tagged), csv, True)
 
 
 def triples_to_csv(sols: list[Triple]) -> str:

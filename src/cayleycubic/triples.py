@@ -266,16 +266,18 @@ class SolutionGraph:
         """to_dot() or to_json() in pieces of _CHUNK_LINES vertices or edges."""
         text = _decimal_table(self.vertices)
         if dot:
-            names = [f"{text[a]},{text[b]},{text[c]}" for a, b, c in self.vertices]
-            frontier = set(self.frontier)
+            vs, frontier = self.vertices, dict.fromkeys(self.frontier, " [peripheries=2]")
             yield "graph cayley {\n"
             yield from _chunked(
-                enumerate(names),
-                lambda batch: "".join([f'  "{name}"{" [peripheries=2]" if i in frontier else ""};\n' for i, name in batch]),
+                enumerate(vs),
+                lambda batch: "".join([f'  "{text[a]},{text[b]},{text[c]}"{frontier.get(i, "")};\n' for i, (a, b, c) in batch]),
             )
             yield from _chunked(
                 self.edges,
-                lambda batch: "".join([f'  "{names[i]}" -- "{names[j]}" [label="{COMPONENT_NAMES[c]}"];\n' for i, j, c in batch]),
+                lambda batch: "".join([
+                    f'  "{text[a]},{text[b]},{text[c]}" -- "{text[x]},{text[y]},{text[z]}" [label="{COMPONENT_NAMES[k]}"];\n'
+                    for i, j, k in batch for (a, b, c), (x, y, z) in [(vs[i], vs[j])]
+                ]),
             )
             yield "}\n"
             return

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from math import gcd, isqrt
@@ -590,6 +591,24 @@ def test_graph_writers_at_chunk_boundaries(monkeypatch, capsys, seed, bound):
         assert capsys.readouterr().out == want_json + "\n"
         assert run(argv + ["--format", "dot"]) == 0
         assert capsys.readouterr().out == want_dot
+
+
+def test_dot_writer_keeps_no_vertex_names(monkeypatch):
+    # each vertex and edge line is built from the decimal table as its chunk is written,
+    # so draining the DOT text holds no more than draining the JSON text does
+    monkeypatch.setattr(triples, "_CHUNK_LINES", 256)
+    g = solution_graph(Triple(1, 1, 2, 2), 10**200)
+    assert len(g.vertices) == 18666
+    peaks = {}
+    for dot in (False, True):
+        tracemalloc.start()
+        try:
+            for _ in g._chunks(dot=dot):
+                pass
+            peaks[dot] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[True] <= 2 * peaks[False]
 
 
 def test_s1_ordering_invariant(s1_solutions_2000):

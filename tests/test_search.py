@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -163,6 +164,20 @@ def test_enumerate_with_no_room_builds_no_core_table(monkeypatch):
     # 3*bound^2 < s^2: no solution fits, however large s is
     assert enumerate_solutions(70, 40) == []
     assert enumerate_solutions(10**9, 10) == []
+
+
+@pytest.mark.parametrize("s", [1, 12, 30])
+def test_enumerate_holds_one_copy_of_its_rows(s):
+    # the base run (s, b, b) is built after the square-class tables are freed, so
+    # the peak is the returned rows plus the sort's second list of references
+    tracemalloc.start()
+    try:
+        rows = sr._solution_rows(s, 20000, None)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > 20000 - s
+    assert peak <= 1.3 * size
 
 
 def test_enumerate_small_s5():
@@ -658,6 +673,24 @@ def test_classify_requires_every_moved_row_enumerated(monkeypatch, capsys, s, bo
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("s", [12, 30])
+def test_classify_pass_keeps_no_component_list(s):
+    # once _chunks returns, the pass has run; what it holds past the rows is a tag and a
+    # family per row and the union-find links of the touched rows, but no component ids
+    tracemalloc.start()
+    try:
+        rows = sr._solution_rows(s, 20000, None)
+        rows_size = tracemalloc.get_traced_memory()[0]
+        del rows
+        baseline = tracemalloc.get_traced_memory()[0]
+        chunks = sr._chunks(s, 20000, None, False, True)
+        held = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.4 * rows_size
+    assert next(chunks).startswith(f'{{"s": {s}, "triple": [1, ')
 
 
 def _patch_chain(monkeypatch, edit):
