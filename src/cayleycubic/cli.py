@@ -145,10 +145,8 @@ def _cmd_pell_one(args) -> int:
 
 
 def _cmd_pell_two(args) -> int:
-    inst = pl.family_two_instance(args.s, args.p, args.n)
-    sols = [pl.pell_family_two(args.s, args.p, args.n, m) for m in range(1, args.count + 1)]
-    params = {"convention": {"difference_scale": "s/2"}, "s": args.s, "p": args.p, "n": args.n}
-    _emit_pell(args, inst, sols, "chain-family-two", **params)
+    inst, sols = pl._family_two(args.s, args.p, args.n, range(1, args.count + 1))
+    _emit_pell(args, inst, sols, "chain-family-two", convention={"difference_scale": "s/2"}, s=args.s, p=args.p, n=args.n)
     return 0
 
 

@@ -163,16 +163,18 @@ def _check_word(word) -> tuple[int, ...]:
     return w
 
 
-def continuant(word) -> int:
-    """K(word): K() = 1, K(x) = x, K(x0..xm) = x0*K(x1..xm) + K(x2..xm).
-
-    Computed by the forward sweep p[k] = a[k]*p[k-1] + p[k-2], which agrees
-    with the head recursion because continuants are mirror-symmetric.
-    """
+def _sweep(w: tuple[int, ...]) -> tuple[int, int]:
+    """(K(w), K'(w)) of a checked word by the forward sweep p[k] = a[k]*p[k-1] + p[k-2] (it gives K by
+    mirror symmetry) from K() = 1 and K'() = 0, so K''(w) = K'(w[1:]) is 0 for a one-entry w."""
     back, cur = 0, 1
-    for a in _check_word(word):
+    for a in w:
         back, cur = cur, a * cur + back
-    return cur
+    return cur, back
+
+
+def continuant(word) -> int:
+    """K(word): K() = 1, K(x) = x, K(x0..xm) = x0*K(x1..xm) + K(x2..xm)."""
+    return _sweep(_check_word(word))[0]
 
 
 def continuant_drop_last(word) -> int:
@@ -180,7 +182,7 @@ def continuant_drop_last(word) -> int:
     w = _check_word(word)
     if not w:
         raise ValueError("need at least one entry to drop")
-    return continuant(w[:-1])
+    return _sweep(w)[1]
 
 
 def continuant_interior(word) -> int:
@@ -188,7 +190,7 @@ def continuant_interior(word) -> int:
     w = _check_word(word)
     if len(w) < 2:
         raise ValueError("need at least two entries to drop both ends")
-    return continuant(w[1:-1])
+    return _sweep(w[1:])[1]
 
 
 def _cohn_trace(alpha: tuple[int, ...]) -> int:
@@ -196,7 +198,7 @@ def _cohn_trace(alpha: tuple[int, ...]) -> int:
     # and K'(alpha) top right.  For even length det M_alpha = 1, so M^2 =
     # tr*M - I: each entry of M^k M_beta, such as K'(alpha^k beta), obeys
     # x[k+1] = tr*x[k] - x[k-1].
-    return continuant(alpha) + continuant_interior(alpha)
+    return _sweep(alpha)[0] + _sweep(alpha[1:])[1]
 
 
 def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
@@ -213,8 +215,8 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
         raise ValueError(f"alpha must be a non-empty word of even length, got {a}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # K'(empty word) = 0: the k = 0 term of an empty beta, the value the recurrence forces
-    direct = [continuant_drop_last(a * k + b) if k or b else 0 for k in range(count)]
+    # the k = 0 term of an empty beta is the sweep's start value K'() = 0
+    direct = [_sweep(a * k + b)[1] for k in range(count)]
     if count > 1:
         for k, (want, nxt) in enumerate(zip(direct, _recurrence(_cohn_trace(a), 1, *direct[:2]))):
             if nxt != want:
@@ -284,15 +286,15 @@ def sequence_overlap_search(
     if budget is not None and planned > budget:
         raise BudgetExceededError(f"r-match needs {planned} pair tests, budget is {budget}")
     entries = range(1, max_entry + 1)
-    # (beta, K'(beta), K''(beta)) once per beta; K'' of a one-entry word is 0
+    # (beta, K'(beta), K''(beta)) once per beta; the words are built from entries >= 1
     betas = [
-        (beta, continuant_drop_last(beta), continuant_interior(beta) if blen > 1 else 0)
+        (beta, _sweep(beta)[1], _sweep(beta[1:])[1])
         for blen in range(1, max_block_len + 1)
         for beta in product(entries, repeat=blen)
     ]
     for alen in range(2, max_block_len + 1, 2):
         for alpha in product(entries, repeat=alen):
-            k, k_drop, tr = continuant(alpha), continuant_drop_last(alpha), _cohn_trace(alpha)
+            (k, k_drop), tr = _sweep(alpha), _cohn_trace(alpha)
             for beta, s0, inner in betas:
                 if 2 * (k * s0 + k_drop * inner) == tr * s0:
                     raise InvariantError(

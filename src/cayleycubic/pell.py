@@ -112,6 +112,18 @@ def family_two_instance(s: int, p: int, n: int) -> PellInstance:
     return PellInstance(d, -(s * s) * d, FORM_A)
 
 
+def _family_two(s: int, p: int, n: int, ms) -> tuple[PellInstance, list[PellSolution]]:
+    """family_two_instance(s, p, n) and the checked member of each m in `ms`: one instance, and
+    one _terms call reads X_m, X_{n+m} and X_{|n-m|} of every member."""
+    inst = family_two_instance(s, p, n)
+    xs = _terms(family_multiplier(s, p), 1, s, p, *(i for m in ms for i in (m, n + m, abs(n - m))))
+    # s*(X_{n+m} - X_{|n-m|}) = 2*X_n*X_m - 2s*X_{|n-m|} by the product rule, so it is even
+    sols = [PellSolution(xm, s * (top - low) // 2) for xm, top, low in zip(xs[::3], xs[1::3], xs[2::3])]
+    if bad := [sol for sol in sols if not inst.holds(*sol)]:
+        raise InvariantError(f"chain difference solution {bad[0]} fails {inst}")
+    return inst, sols
+
+
 def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
     """(z, a) = (chain(m), s*(chain(n+m) - chain(|n-m|)) / 2).
 
@@ -120,13 +132,7 @@ def pell_family_two(s: int, p: int, n: int, m: int) -> PellSolution:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    inst = family_two_instance(s, p, n)
-    xm, top, low = _terms(family_multiplier(s, p), 1, s, p, m, n + m, abs(n - m))
-    # s*(X_{n+m} - X_{|n-m|}) = 2*X_n*X_m - 2s*X_{|n-m|} by the product rule, so it is even
-    sol = PellSolution(xm, s * (top - low) // 2)
-    if not inst.holds(*sol):
-        raise InvariantError(f"chain difference solution {sol} fails {inst}")
-    return sol
+    return _family_two(s, p, n, (m,))[1][0]
 
 
 def _oracle_range(d: int, rhs: int, form: str, lo: int, hi: int):

@@ -48,7 +48,7 @@ def _terms(t: int, q: int, x0: int, x1: int, *indices: int) -> tuple[int, ...]:
     a 1 bit steps once more (D. H. Lehmer, Ann. of Math. 31, 1930).  O(log n)
     exact multiplications per index, and no division.
     """
-    if min(indices) < 0:
+    if min(indices, default=0) < 0:
         raise ValueError(f"sequence index must be non-negative, got {min(indices)}")
     out = []
     for n in indices:

@@ -111,11 +111,11 @@ def _require_solution(t: Triple) -> None:
         )
 
 
-def _conjugate(s: int, comps: tuple[int, int, int], index: int) -> int | None:
-    """The conjugate 2yz/s - x of component `index`, or None when it is not an integer."""
-    y, z = (comps[j] for j in range(3) if j != index)
+def _conjugate(s: int, x: int, y: int, z: int) -> int | None:
+    """The conjugate 2yz/s - x of component x, y and z being the other two, or None when
+    it is not an integer: the one integer move, a single divmod(2yz, s)."""
     q, r = divmod(2 * y * z, s)
-    return None if r else q - comps[index]
+    return None if r else q - x
 
 
 def _conjugate_numerators(s: int, a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -124,12 +124,11 @@ def _conjugate_numerators(s: int, a: int, b: int, c: int) -> tuple[int, int, int
 
 
 def _row_moves(s: int, a: int, b: int, c: int):
-    """(k, v, moved row) for each component k of a sorted row (a, b, c) whose conjugate v
-    is a positive integer, fixed points included: one divmod(2yz, s) per component,
-    y <= z the other two, and the moved row sorted by inserting v."""
+    """(k, v, moved row) for each component k of a row (a, b, c) whose conjugate v is a
+    positive integer, fixed points included: one `_conjugate` per component, y and z the
+    other two; when the row is sorted, so is the moved row, v inserted between y <= z."""
     for k, x, y, z in ((0, a, b, c), (1, b, a, c), (2, c, a, b)):
-        q, r = divmod(2 * y * z, s)
-        if not r and (v := q - x) >= 1:
+        if (v := _conjugate(s, x, y, z)) is not None and v >= 1:
             yield k, v, (v, y, z) if v <= y else (y, v, z) if v <= z else (y, z, v)
 
 
@@ -150,8 +149,7 @@ def neighbors(t: Triple) -> list[Triple]:
     through different components are not merged here.
     """
     _require_solution(t)
-    comps = t.components
-    return [t.replace(i, v) for i in range(3) if (v := _conjugate(t.s, comps, i)) is not None and v >= 1 and v != comps[i]]
+    return [t.replace(k, v) for k, v, _ in _row_moves(t.s, *t.components) if v != t.components[k]]
 
 
 def family_triple(s: int, b: int, n: int, m: int, *, budget: int | None = None) -> Triple:
@@ -207,11 +205,11 @@ def reduction_trace(t: Triple) -> list[Triple]:
     """
     _require_solution(t)
     s = t.s
-    cur = tuple(sorted(t.components))
-    trace = [Triple(s, *cur)]
-    while (v := _conjugate(s, cur, 2)) is not None and 1 <= v < cur[2]:
-        cur = tuple(sorted((cur[0], cur[1], v)))
-        trace.append(Triple(s, *cur))
+    a, b, c = sorted(t.components)
+    trace = [Triple(s, a, b, c)]
+    while (v := _conjugate(s, c, a, b)) is not None and 1 <= v < c:
+        a, b, c = sorted((a, b, v))
+        trace.append(Triple(s, a, b, c))
     return trace
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cayleycubic import enumerate_solutions
@@ -31,3 +33,11 @@ def chunk_pieces(n, k, sep):
     chunks, and with a separator one more piece between each two."""
     chunks = -(-n // k)
     return chunks + (max(chunks - 1, 0) if sep else 0)
+
+
+def fraction_conjugate(s, comps, index):
+    """Test-side oracle for the integer conjugation kernel: 2yz/s - x built
+    as a Fraction, reduced to an int when integral and None otherwise."""
+    y, z = (comps[j] for j in range(3) if j != index)
+    conj = Fraction(2 * y * z, s) - comps[index]
+    return int(conj) if conj.denominator == 1 else None

@@ -30,7 +30,7 @@ from cayleycubic import (
 from cayleycubic import triples
 from cayleycubic.cli import run
 from cayleycubic.triples import _conjugate
-from conftest import chunk_pieces, chunk_sizes
+from conftest import chunk_pieces, chunk_sizes, fraction_conjugate
 
 
 def conjugate_roots(s, y, z):
@@ -143,17 +143,10 @@ def test_neighbors_skip_non_integral_and_fixed():
     assert neighbors(Triple(7, 7, 9, 9)) == []
 
 
-def fraction_conjugate(s, comps, index):
-    """Test-side oracle for the integer conjugation kernel: 2yz/s - x built
-    as a Fraction, reduced to an int when integral and None otherwise."""
-    y, z = (comps[j] for j in range(3) if j != index)
-    conj = Fraction(2 * y * z, s) - comps[index]
-    return int(conj) if conj.denominator == 1 else None
-
-
 def assert_kernel_matches_oracle(s, comps):
     for i in range(3):
-        assert _conjugate(s, comps, i) == fraction_conjugate(s, comps, i)
+        y, z = (comps[j] for j in range(3) if j != i)
+        assert _conjugate(s, comps[i], y, z) == fraction_conjugate(s, comps, i)
 
 
 @given(s=st.integers(min_value=1, max_value=40), bound=st.integers(min_value=1, max_value=200))
@@ -251,7 +244,7 @@ def _reduction_by_max_index(t):
     while True:
         comps = cur.components
         idx = comps.index(max(comps))
-        v = _conjugate(cur.s, comps, idx)
+        v = fraction_conjugate(cur.s, comps, idx)
         if v is None or v < 1 or v >= comps[idx]:
             return trace
         cur = cur.replace(idx, v).canonical()

@@ -476,6 +476,42 @@ def test_pell_two_payload(capsys):
     }
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_pell_two_count_below_one_prints_the_instance(count, capsys):
+    # no member asked for: the instance alone, read in one _terms call over no indices
+    code = run(["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", count])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"d": 960, "rhs": -960, "form": "a2-dz2", "solutions": [], "provenance": "chain-family-two", '
+        '"convention": {"difference_scale": "s/2"}, "s": 1, "p": 4, "n": 2}\n'
+    )
+    assert run(["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", count, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_pell_two_builds_one_instance_and_climbs_x_n_once(capsys, monkeypatch, fmt):
+    # all members share the instance of X_n: it is built, and X_n climbed, once per command
+    from cayleycubic import pell
+
+    counts = {"instances": 0, "x_n": 0}
+    post_init, cheb_t = PellInstance.__post_init__, pell.scaled_cheb_t
+
+    def counted_post_init(self):
+        counts["instances"] += 1
+        post_init(self)
+
+    def counted_cheb_t(s, b, n):
+        counts["x_n"] += 1
+        return cheb_t(s, b, n)
+
+    monkeypatch.setattr(PellInstance, "__post_init__", counted_post_init)
+    monkeypatch.setattr(pell, "scaled_cheb_t", counted_cheb_t)
+    assert run(["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", "3", "--format", fmt]) == 0
+    assert "244" in capsys.readouterr().out
+    assert counts == {"instances": 1, "x_n": 1}
+
+
 def test_pell_oracle_payload(capsys):
     code = run(["pell-oracle", "--d", "3", "--rhs", "1", "--bound", "30"])
     blob = json.loads(capsys.readouterr().out)

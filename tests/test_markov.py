@@ -433,10 +433,11 @@ def test_overlap_search_pairs_agree_with_direct_continuants(monkeypatch, shift):
 
 
 def test_overlap_search_checks_reported_pairs(monkeypatch):
-    # K''(2, 2) read as 9 makes tr = 14 and b = 7 at alpha = (2, 2), beta =
-    # (1, 1), so the pair passes the test, against the lemma: the search raises
-    real = mk.continuant_interior
-    monkeypatch.setattr(mk, "continuant_interior", lambda w: 9 if tuple(w) == (2, 2) else real(w))
+    # K''(2, 2) = K'(2) read as 9 makes tr = 14 and b = 7 at alpha = (2, 2),
+    # beta = (1, 1), so the pair passes the test, against the lemma: the search
+    # raises.  The patched sweep of (2,) reaches no earlier pair that passes.
+    real = mk._sweep
+    monkeypatch.setattr(mk, "_sweep", lambda w: (2, 9) if tuple(w) == (2,) else real(w))
     with pytest.raises(InvariantError, match=re.escape("alpha=[2, 2], beta=[1, 1] ")):
         sequence_overlap_search(2, 2, 3)
 
@@ -513,7 +514,7 @@ def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_en
     def no_continuant(word):
         raise AssertionError("a refused search must not compute a continuant")
 
-    for name in ("continuant", "continuant_drop_last", "continuant_interior", "_cohn_trace"):
+    for name in ("_sweep", "continuant", "continuant_drop_last", "continuant_interior", "_cohn_trace"):
         monkeypatch.setattr(mk, name, no_continuant)
     with pytest.raises(BudgetExceededError, match=f"needs {plan} pair tests, budget is {plan - 1}"):
         sequence_overlap_search(max_entry, max_block_len, 3, budget=plan - 1)

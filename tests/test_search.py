@@ -29,8 +29,8 @@ from cayleycubic import search as sr
 from cayleycubic import triples
 from cayleycubic.cli import run
 from cayleycubic.search import TAG_ORDER, Classification
-from cayleycubic.triples import _conjugate, base_value
-from conftest import chunk_sizes
+from cayleycubic.triples import base_value
+from conftest import chunk_sizes, fraction_conjugate
 
 
 def _grid_enumerate(s, bound):
@@ -485,7 +485,7 @@ def _reference_classify(s, bound):
     isolated = [True] * len(verts)
     for i, v in enumerate(verts):
         for k in range(3):
-            cv = _conjugate(s, v, k)
+            cv = fraction_conjugate(s, v, k)
             if cv is None or cv < 1:
                 continue
             isolated[i] = False

@@ -208,6 +208,10 @@ def test_terms_match_a_loop_at_every_bit_pattern_edge():
         assert sq._terms(mult, 1, s, b, *LADDER_INDICES) == tuple(xs[i] for i in LADDER_INDICES)
 
 
+def test_terms_of_no_indices_is_empty():
+    assert sq._terms(4, 1, 3, 6) == ()
+
+
 def test_family_triple_far_out_matches_a_loop():
     xs = _loop(4, 3, 6, 8002)
     assert family_triple(3, 6, 8000, 1).components == (xs[8000], xs[8001], xs[1])
