@@ -227,15 +227,14 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
 
 
 def splitting_identity_holds(alpha, beta) -> bool:
-    """K'(a a b) == K(a)*K'(a b) + K'(a)*K''(a b), with K'' the interior continuant."""
+    """K'(a a b) == K(a)*K'(a b) + K'(a)*K''(a b), with K'' the interior continuant (0 for a one-entry a b)."""
     a = _check_word(alpha)
     b = _check_word(beta)
     if not a:
         raise ValueError("alpha must be non-empty")
     ab = a + b
-    lhs = continuant_drop_last(a + ab)
-    rhs = continuant(a) * continuant_drop_last(ab) + continuant_drop_last(a) * continuant_interior(ab)
-    return lhs == rhs
+    k, k_drop = _sweep(a)
+    return _sweep(a + ab)[1] == k * _sweep(ab)[1] + k_drop * _sweep(ab[1:])[1]
 
 
 @dataclass

@@ -14,7 +14,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DegeneratePellError, InvariantError
-from .sequences import _recurrence, _scaled_chain, _terms, family_multiplier, scaled_cheb_t, scaled_cheb_u
+from .sequences import _recurrence, _terms, family_multiplier, scaled_cheb_t, scaled_cheb_u
 
 __all__ = [
     "FORM_Z",
@@ -93,7 +93,7 @@ def pell_family_one_members(s: int, y: int, count: int) -> list[PellSolution]:
     the base and every member are checked."""
     inst = family_one_instance(s, y)
     mult = family_multiplier(s, y)
-    members = map(PellSolution, islice(_scaled_chain(s, y), 1, None), _recurrence(mult, 1, 1, mult))
+    members = map(PellSolution, islice(_recurrence(mult, 1, s, y), 1, None), _recurrence(mult, 1, 1, mult))
     sols = list(islice(members, max(count, 0)))
     for sol in sols:
         if not inst.holds(*sol):
@@ -103,20 +103,19 @@ def pell_family_one_members(s: int, y: int, count: int) -> list[PellSolution]:
 
 def family_two_instance(s: int, p: int, n: int) -> PellInstance:
     """The equation a^2 - d*z^2 = -s^2*d with d = chain(n)^2 - s^2 at base (s, p)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    y = scaled_cheb_t(s, p, n)
-    if y <= s:
-        raise DegeneratePellError(f"chain value {y} does not exceed s={s}")
-    d = y * y - s * s
-    return PellInstance(d, -(s * s) * d, FORM_A)
+    return _family_two(s, p, n, ())[0]
 
 
 def _family_two(s: int, p: int, n: int, ms) -> tuple[PellInstance, list[PellSolution]]:
-    """family_two_instance(s, p, n) and the checked member of each m in `ms`: one instance, and
-    one _terms call reads X_m, X_{n+m} and X_{|n-m|} of every member."""
-    inst = family_two_instance(s, p, n)
-    xs = _terms(family_multiplier(s, p), 1, s, p, *(i for m in ms for i in (m, n + m, abs(n - m))))
+    """family_two_instance(s, p, n) and the checked member of each m in `ms`: one _terms call
+    reads X_n for the instance, then X_m, X_{n+m} and X_{|n-m|} of every member."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    y, *xs = _terms(family_multiplier(s, p), 1, s, p, n, *(i for m in ms for i in (m, n + m, abs(n - m))))
+    if y <= s:
+        raise DegeneratePellError(f"chain value {y} does not exceed s={s}")
+    d = y * y - s * s
+    inst = PellInstance(d, -(s * s) * d, FORM_A)
     # s*(X_{n+m} - X_{|n-m|}) = 2*X_n*X_m - 2s*X_{|n-m|} by the product rule, so it is even
     sols = [PellSolution(xm, s * (top - low) // 2) for xm, top, low in zip(xs[::3], xs[1::3], xs[2::3])]
     if bad := [sol for sol in sols if not inst.holds(*sol)]:
@@ -139,16 +138,13 @@ def _oracle_range(d: int, rhs: int, form: str, lo: int, hi: int):
     out = []
     for z in range(lo, hi + 1):
         if form == FORM_Z:
-            t = z * z - rhs
-            if t < 0:
-                continue
-            a2, rem = divmod(t, d)
+            a2, rem = divmod(z * z - rhs, d)  # d >= 2: negative when z^2 < rhs
             if rem:
                 continue
         else:
             a2 = rhs + d * z * z
-            if a2 < 0:
-                continue
+        if a2 < 0:
+            continue
         a = isqrt(a2)
         if a * a == a2:
             out.append((z, a))

@@ -94,11 +94,6 @@ def family_multiplier(s: int, b: int) -> int:
     return (2 * b) // s
 
 
-def _scaled_chain(s: int, b: int):
-    """X_0 = s, X_1 = b, X[k+1] = (2b/s)*X[k] - X[k-1]; the base is checked at the call."""
-    return _recurrence(family_multiplier(s, b), 1, s, b)
-
-
 def scaled_cheb_t(s: int, b: int, n: int) -> int:
     """Scaled first-kind value s*T_n(b/s) of the integer recurrence with seeds s, b."""
     return _terms(family_multiplier(s, b), 1, s, b, n)[0]
@@ -118,4 +113,4 @@ def _chain_values(s: int, p: int, bound: int) -> list[int]:
     """
     if p <= s or 2 * p % s:
         raise InvariantError(f"base ({s}, {p}) has no increasing integral chain")
-    return list(takewhile(lambda x: x <= bound, _scaled_chain(s, p)))
+    return list(takewhile(lambda x: x <= bound, _recurrence(2 * p // s, 1, s, p)))

@@ -155,10 +155,10 @@ def neighbors(t: Triple) -> list[Triple]:
 def family_triple(s: int, b: int, n: int, m: int, *, budget: int | None = None) -> Triple:
     """(X_n, X_{n+m}, X_m) of the scaled Chebyshev chain at base (s, b), each by index doubling.
 
-    The plan bounds the decimal digits of each value, from none of them: with
-    d = 2b/s, the chain stays within s when d <= 2, and when d >= 3 it grows,
-    by at most d a step, so each value is at most b*d^(n+m-1) < 2^L with
-    L = bl(b) + (n+m-1)*bl(d^64)/64 (bl the bit length); log10(2) < 0.30103.
+    The plan bounds the decimal digits of each value, from none of them: with d = 2b/s, the
+    chain stays within s when d <= 2 (d = 1 goes negative, s, s/2, -s/2, -s, ...: ValueError),
+    and when d >= 3 it grows, by at most d a step, so each value is at most b*d^(n+m-1) < 2^L
+    with L = bl(b) + (n+m-1)*bl(d^64)/64 (bl the bit length); log10(2) < 0.30103.
     BudgetExceededError, before any term is computed, when it exceeds `budget`.
     """
     if n < 0 or m < 0:
@@ -171,7 +171,10 @@ def family_triple(s: int, b: int, n: int, m: int, *, budget: int | None = None) 
         bits64 = 64 * max(s, b).bit_length() + growth
         if (planned := bits64 * 30103 // 6_400_000 + 1) > budget:
             raise BudgetExceededError(f"family needs up to {planned} digits per value, budget is {budget}")
-    return Triple(s, *_terms(mult, 1, s, b, n, n + m, m))
+    xs = _terms(mult, 1, s, b, n, n + m, m)
+    if bad := [(k, x) for k, x in zip((n, n + m, m), xs) if x < 1]:
+        raise ValueError(f"chain value X_{bad[0][0]} = {bad[0][1]} of base ({s}, {b}) is not positive")
+    return Triple(s, *xs)
 
 
 def is_singular(t: Triple) -> bool:

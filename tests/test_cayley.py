@@ -188,6 +188,8 @@ def test_family_triple_values():
     t = family_triple(1, 2, 1, 2)
     assert t.components == (2, 26, 7)
     assert family_triple(3, 6, 0, 1).components == (3, 6, 6)
+    # 2b/s = 1: the chain 4, 2, -2, -4, -2, 2 repeats, and these indices stay on its positive terms
+    assert family_triple(4, 2, 6, 1).components == (4, 2, 2)
     with pytest.raises(ValueError):
         family_triple(1, 2, 0, 0)
     with pytest.raises(NonIntegralFamilyError):
@@ -641,6 +643,9 @@ def test_s1_solutions_match_generated_chain_set(s1_solutions_2000):
     [
         (lambda: conjugate_component(Triple(1, 1, 1, 1), 3), ValueError, "component index must be 0, 1 or 2, got 3"),
         (lambda: family_triple(1, 2, -1, 1), ValueError, r"chain indices must be non-negative, got \(-1, 1\)"),
+        # 2b/s = 1: the first negative value of (X_n, X_{n+m}, X_m) is named, not a Triple field
+        (lambda: family_triple(4, 2, 3, 2), ValueError, r"^chain value X_3 = -4 of base \(4, 2\) is not positive$"),
+        (lambda: family_triple(4, 2, 0, 2), ValueError, r"^chain value X_2 = -2 of base \(4, 2\) is not positive$"),
         (lambda: euclid_index_path(-1, 2), ValueError, r"indices must be non-negative, got \(-1, 2\)"),
     ],
 )

@@ -165,6 +165,16 @@ def test_family_budget_refuses_before_any_term(capsys, monkeypatch):
         assert capsys.readouterr().out == "{},{},{}\n".format(*t.components)
 
 
+def test_family_on_a_periodic_base_names_the_chain_value(capsys):
+    # 2b/s = 1: the chain 4, 2, -2, -4, -2, 2, 4, ... goes negative; the refusal names X_3, not a Triple field
+    with pytest.raises(SystemExit) as exc:
+        run(["family", "--s", "4", "--b", "2", "--n", "3", "--m", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: chain value X_3 = -4 of base (4, 2) is not positive\n" in captured.err
+
+
 def test_reduce_accepts_components_past_the_digit_limit(capsys):
     t = family_triple(3, 6, 8000, 4000)
     with unlimited_digits():
@@ -491,25 +501,34 @@ def test_pell_two_count_below_one_prints_the_instance(count, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_pell_two_builds_one_instance_and_climbs_x_n_once(capsys, monkeypatch, fmt):
-    # all members share the instance of X_n: it is built, and X_n climbed, once per command
-    from cayleycubic import pell
+    # all members share the instance of X_n: it is built, and X_n climbed in the one _terms call
+    # beside the members' indices, once per command, with one check of the base
+    from cayleycubic import pell, sequences
 
-    counts = {"instances": 0, "x_n": 0}
-    post_init, cheb_t = PellInstance.__post_init__, pell.scaled_cheb_t
+    counts = {"instances": 0, "_terms": 0, "family_multiplier": 0}
+    post_init = PellInstance.__post_init__
 
     def counted_post_init(self):
         counts["instances"] += 1
         post_init(self)
 
-    def counted_cheb_t(s, b, n):
-        counts["x_n"] += 1
-        return cheb_t(s, b, n)
+    def counted(name):
+        real = getattr(sequences, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
 
     monkeypatch.setattr(PellInstance, "__post_init__", counted_post_init)
-    monkeypatch.setattr(pell, "scaled_cheb_t", counted_cheb_t)
+    # pell imports both by name; the sequences functions it may call look them up in sequences
+    for name in ("_terms", "family_multiplier"):
+        for module in (pell, sequences):
+            monkeypatch.setattr(module, name, counted(name))
     assert run(["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", "3", "--format", fmt]) == 0
     assert "244" in capsys.readouterr().out
-    assert counts == {"instances": 1, "x_n": 1}
+    assert counts == {"instances": 1, "_terms": 1, "family_multiplier": 1}
 
 
 def test_pell_oracle_payload(capsys):

@@ -366,7 +366,18 @@ def test_splitting_identity_bounded_space():
                     rhs += drop_last_or_zero(alpha) * continuant_interior(alpha + beta)
                     assert lhs == rhs
                     count += 1
-    assert count == 3510
+    # a one-entry alpha with the empty beta, reading K'' of the one-entry word alpha beta as 0
+    for x in (1, 2, 3):
+        assert splitting_identity_holds((x,), ())
+        assert drop_last_or_zero((x, x)) == continuant((x,)) * drop_last_or_zero((x,)) + drop_last_or_zero((x,)) * 0
+        count += 1
+    assert count == 3513
+
+
+@pytest.mark.parametrize("x", range(1, 10))
+def test_splitting_identity_holds_for_a_one_entry_alpha_and_empty_beta(x):
+    # K'(x x) = x = K(x)*K'(x) + K'(x)*K''(x), with K'(x) = K() = 1 and K''(x) = 0
+    assert splitting_identity_holds((x,), ())
 
 
 def test_ratio_identity_bounded_space():

@@ -121,9 +121,14 @@ def test_family_one_members_check_the_base_for_any_count(count):
 
 
 def test_family_one_members_check_every_member(monkeypatch):
-    # the chain value X_3 = 26 off by one: the third member is the first wrong one
-    chain = pl._scaled_chain
-    monkeypatch.setattr(pl, "_scaled_chain", lambda s, y: (x + (k == 3) for k, x in enumerate(chain(s, y))))
+    # the chain walk's X_3 = 26 off by one (its seeds are s, y = 1, 2; the companion's are 1, 4):
+    # the third member is the first wrong one
+    walk = pl._recurrence
+
+    def shifted(t, q, x0, x1):
+        return (x + (k == 3 and (x0, x1) == (1, 2)) for k, x in enumerate(walk(t, q, x0, x1)))
+
+    monkeypatch.setattr(pl, "_recurrence", shifted)
     assert len(pl.pell_family_one_members(1, 2, 2)) == 2
     with pytest.raises(InvariantError, match=r"chain solution PellSolution\(z=27, a=15\) fails"):
         pl.pell_family_one_members(1, 2, 3)
@@ -175,9 +180,10 @@ def test_family_two_rejects_a_wrong_chain_value(monkeypatch):
 
 
 def test_family_two_checks_its_member_against_the_instance(monkeypatch):
-    # the instance of n = 3 beside the member of n = 2: the member check must catch it
-    real = pl.family_two_instance
-    monkeypatch.setattr(pl, "family_two_instance", lambda s, p, n: real(s, p, n + 1))
+    # the instance of n = 3 beside the member of n = 2: X_n, the first index _terms reads, is read
+    # at n + 1 and the member's indices are left alone; the member check must catch it
+    terms = pl._terms
+    monkeypatch.setattr(pl, "_terms", lambda t, q, x0, x1, n, *rest: terms(t, q, x0, x1, n + 1, *rest))
     with pytest.raises(InvariantError, match="fails"):
         pell_family_two(1, 4, 2, 1)
 
@@ -268,8 +274,14 @@ def test_unit_fraction_approximates_sqrt3():
 
 
 def _direct(inst, bound, include_zero=False):
-    """Reference: every z in 1..bound, tested with an exact square root."""
-    return [PellSolution(z, a) for z, a in pl._oracle_range(inst.d, inst.rhs, inst.form, 1, bound) if a or include_zero]
+    """Reference: every z in 1..bound, with the one candidate a >= 0 read off the equation and checked exactly."""
+    out = []
+    for z in range(1, bound + 1):
+        a2 = (z * z - inst.rhs) // inst.d if inst.form == FORM_Z else inst.rhs + inst.d * z * z
+        a = isqrt(max(a2, 0))
+        if inst.holds(z, a) and (a or include_zero):
+            out.append(PellSolution(z, a))
+    return out
 
 
 @st.composite

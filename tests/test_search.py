@@ -113,6 +113,24 @@ def _square_class_scan(s, bound):
     return sorted(rows)
 
 
+def test_squarefree_cores_match_trial_division():
+    # the core of k is the product of the primes that divide k an odd number of times
+    def core(k):
+        out, p = 1, 2
+        while p * p <= k:
+            e = 0
+            while k % p == 0:
+                k, e = k // p, e + 1
+            out *= p ** (e % 2)
+            p += 1
+        return out * k  # what is left is 1 or a prime
+
+    table = sr._squarefree_cores(5000)
+    assert len(table) == 5001 and table[0] == 0
+    for k in range(1, 5001):
+        assert table[k] == core(k), k
+
+
 @pytest.mark.parametrize("bound", [1, 2, 7, 50, 400, 2010])
 def test_enumerate_matches_square_class_scan(bound):
     for s in [*range(1, 41), 48, 60, 100]:
