@@ -114,24 +114,23 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    g = tr.solution_graph(tr.Triple(args.s, *args.seed), args.bound)
-    # solution_graph has run every check: a refused graph writes nothing
-    _stream(args, g._chunks(dot=args.format == "dot"))
+    # every check runs here, before the first chunk: a refused graph writes nothing
+    xs, vertices, edges, frontier = tr._component(tr.Triple(args.s, *args.seed), args.bound, _budget(args))
+    _stream(args, tr._graph_chunks(args.s, args.bound, vertices, edges, frontier, [str(x) for x in xs], args.format == "dot"))
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    t = tr.Triple(args.s, *args.triple)
-    trace = tr.reduction_trace(t)
+    comps = list(tr._descent(tr.Triple(args.s, *args.triple)))
     # a step replaces one component, so each value sits in up to three triples: format it once
-    comps = [x.components for x in trace]
     text = tr._decimal_table(comps)
+    terminal = tr.Triple(args.s, *comps[-1])
 
     def as_json() -> str:
         # json.dumps of {"s", "trace", "terminal", "base", "singular"}, byte for byte
         rows = [f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in comps]
-        flags = f'"base": {json.dumps(tr.is_base(trace[-1]))}, "singular": {json.dumps(tr.is_singular(trace[-1]))}'
-        return f'{{"s": {t.s}, "trace": [{", ".join(rows)}], "terminal": {rows[-1]}, {flags}}}'
+        flags = f'"base": {json.dumps(tr.is_base(terminal))}, "singular": {json.dumps(tr.is_singular(terminal))}'
+        return f'{{"s": {args.s}, "trace": [{", ".join(rows)}], "terminal": {rows[-1]}, {flags}}}'
 
     _emit(args, as_json, lambda: "\n".join([f"{text[a]},{text[b]},{text[c]}" for a, b, c in comps]))
     return 0
@@ -222,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--seed", type=_triple_arg, required=True)
     p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--budget", type=int, default=None, help="cap on graph vertices (env CAYLEY_BUDGET)")
     fmt(p, ("json", "dot"), "json")
     p.set_defaults(func=_cmd_graph, notes=("chebyshev",))
 

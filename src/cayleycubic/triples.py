@@ -12,15 +12,15 @@ where one is returned.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, islice, takewhile
 from math import gcd
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
-from .sequences import _chain_values, _terms, family_multiplier
+from .sequences import _chain_values, _recurrence, _terms, family_multiplier
 
 __all__ = [
     "COMPONENT_NAMES",
@@ -198,6 +198,18 @@ def is_base(t: Triple) -> bool:
     return base_value(t) is not None
 
 
+def _descent(t: Triple):
+    """The sorted rows (a, b, c) of reduction_trace(t) as int tuples, after the check that t
+    is a solution: the one descent, for callers that build no `Triple` per step."""
+    _require_solution(t)
+    s = t.s
+    a, b, c = sorted(t.components)
+    yield a, b, c
+    while (v := _conjugate(s, c, a, b)) is not None and 1 <= v < c:
+        a, b, c = sorted((a, b, v))
+        yield a, b, c
+
+
 def reduction_trace(t: Triple) -> list[Triple]:
     """Canonical triples visited while the maximal component can still shrink.
 
@@ -206,14 +218,7 @@ def reduction_trace(t: Triple) -> list[Triple]:
     (on a tie every maximal component gives the same move).  The maximum
     strictly decreases, so this terminates.
     """
-    _require_solution(t)
-    s = t.s
-    a, b, c = sorted(t.components)
-    trace = [Triple(s, a, b, c)]
-    while (v := _conjugate(s, c, a, b)) is not None and 1 <= v < c:
-        a, b, c = sorted((a, b, v))
-        trace.append(Triple(s, a, b, c))
-    return trace
+    return [Triple(t.s, *row) for row in _descent(t)]
 
 
 def euclid_index_path(n: int, m: int) -> list[tuple[int, int]]:
@@ -265,30 +270,7 @@ class SolutionGraph:
 
     def _chunks(self, dot: bool):
         """to_dot() or to_json() in pieces of _CHUNK_LINES vertices or edges."""
-        text = _decimal_table(self.vertices)
-        if dot:
-            vs, frontier = self.vertices, dict.fromkeys(self.frontier, " [peripheries=2]")
-            yield "graph cayley {\n"
-            yield from _chunked(
-                enumerate(vs),
-                lambda batch: "".join([f'  "{text[a]},{text[b]},{text[c]}"{frontier.get(i, "")};\n' for i, (a, b, c) in batch]),
-            )
-            yield from _chunked(
-                self.edges,
-                lambda batch: "".join([
-                    f'  "{text[a]},{text[b]},{text[c]}" -- "{text[x]},{text[y]},{text[z]}" [label="{COMPONENT_NAMES[k]}"];\n'
-                    for i, j, k in batch for (a, b, c), (x, y, z) in [(vs[i], vs[j])]
-                ]),
-            )
-            yield "}\n"
-            return
-        yield f'{{"s": {self.s}, "bound": {self.bound}, "vertices": ['
-        yield from _chunked(
-            self.vertices, lambda batch: ", ".join([f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in batch]), ", "
-        )
-        yield '], "edges": ['
-        yield from _chunked(self.edges, lambda batch: json.dumps(list(batch))[1:-1], ", ")
-        yield f'], "frontier": {json.dumps(self.frontier)}}}'
+        return _graph_chunks(self.s, self.bound, self.vertices, self.edges, self.frontier, _decimal_table(self.vertices), dot)
 
     def to_json(self) -> str:
         """json.dumps(self.as_dict()), formatting each distinct component once."""
@@ -298,7 +280,127 @@ class SolutionGraph:
         return "".join(self._chunks(dot=True))
 
 
-def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
+def _graph_chunks(s: int, bound: int, vertices, edges, frontier, text, dot: bool):
+    """The JSON or DOT text of a graph in pieces of _CHUNK_LINES vertices or edges: the one writer.
+
+    vertices: a sequence of key triples, text[key] the decimal of a component; edges: an
+    iterable of (i, j, k) in order; frontier: the sorted frontier indices.
+    """
+    if dot:
+        marks = dict.fromkeys(frontier, " [peripheries=2]")
+        yield "graph cayley {\n"
+        yield from _chunked(
+            enumerate(vertices),
+            lambda batch: "".join([f'  "{text[a]},{text[b]},{text[c]}"{marks.get(i, "")};\n' for i, (a, b, c) in batch]),
+        )
+        yield from _chunked(
+            edges,
+            lambda batch: "".join([
+                f'  "{text[a]},{text[b]},{text[c]}" -- "{text[x]},{text[y]},{text[z]}" [label="{COMPONENT_NAMES[k]}"];\n'
+                for i, j, k in batch for (a, b, c), (x, y, z) in [(vertices[i], vertices[j])]
+            ]),
+        )
+        yield "}\n"
+        return
+    yield f'{{"s": {s}, "bound": {bound}, "vertices": ['
+    yield from _chunked(vertices, lambda batch: ", ".join([f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in batch]), ", ")
+    yield '], "edges": ['
+    yield from _chunked(edges, lambda batch: ", ".join([f"[{i}, {j}, {k}]" for i, j, k in batch]), ", ")
+    yield f'], "frontier": {json.dumps(frontier)}}}'
+
+
+def _totients(n: int) -> tuple[list[int], list[list[int]]]:
+    """phi(0..n) and the primes dividing each of 0..n, from one sieve over the primes p <= n."""
+    phi, primes = list(range(n + 1)), [[] for _ in range(n + 1)]
+    for p in range(2, n + 1):
+        if not primes[p]:
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+                primes[m].append(p)
+    return phi, primes
+
+
+def _chain_component(top: int, budget: int | None):
+    """(vertices, edges, frontier) of the chain component up to X_top in index space, as in
+    solution_graph: vertex k is the index triple (i, j, i+j) of the k-th coprime pair."""
+    phi, primes = _totients(top)
+    count = 1 if top == 1 else 2 + sum(phi[3:]) // 2
+    if budget is not None and count > budget:
+        raise BudgetExceededError(f"graph needs {count} vertices, budget is {budget}")
+    index = list(range(top + 1))  # the rows and vertices share these ints: no copy per vertex
+    rows = [[1]]  # gcd(0, j) = j
+    for i in range(1, top // 2 + 1):
+        coprime = bytearray(b"\1") * (top + 1)
+        for p in primes[i]:
+            coprime[::p] = bytes(top // p + 1)
+        rows.append(list(compress(index[i : top - i + 1], coprime[i : top - i + 1])))
+    first = list(accumulate(map(len, rows), initial=0))
+    vertices = [(i, j, index[i + j]) for i, js in enumerate(rows) for j in js]
+    frontier = [k for i, js in enumerate(rows) for k in range(first[i] + bisect_right(js, (top - i) // 2), first[i + 1])]
+
+    def edges():
+        slot = first[:-1]  # the next unused vertex of each row
+        k = 0
+        for i, js in enumerate(rows):
+            step, last1, last0 = phi[i], top - 2 * i, (top - i) // 2
+            for j in js:
+                # (i, i+j) sorts before (j, i+j), so the edges come out sorted
+                if 0 < i < j <= last1:
+                    yield k, k + step, 1
+                if j <= last0:
+                    yield k, slot[j], 0
+                    slot[j] += 1
+                k += 1
+
+    return vertices, edges(), frontier
+
+
+def _component(seed: Triple, bound: int, budget: int | None):
+    """(xs, vertices, edges, frontier) of solution_graph(seed, bound) with every check run, each
+    vertex an index triple into the ascending values xs; the edges are iterated once."""
+    # the descent checks the seed first: a non-solution is refused before the bound is read
+    *_, (low, p, high) = _descent(seed)
+    start = tuple(sorted(seed.components))
+    if bound < start[2]:
+        raise ValueError("bound must cover the seed's maximal component")
+    s = seed.s
+    if low == s < p == high and 2 * p % s == 0:
+        # the plan needs N alone: count the chain values, keeping none, so a refusal holds no list of them
+        top = sum(1 for _ in takewhile(lambda x: x <= bound, _recurrence(2 * p // s, 1, s, p))) - 1
+        vertices, edges, frontier = _chain_component(top, budget)
+        xs = _chain_values(s, p, bound)
+        i, j, n = (bisect_left(xs, x) for x in start)
+        if n >= len(xs) or (xs[i], xs[j], xs[n]) != start or i + j != n or gcd(i, j) != 1:
+            raise InvariantError(f"seed {start} is not in the index-space component of base ({s}, {p})")
+        return xs, vertices, edges, frontier
+    seen = {start}
+    queue = deque([start])
+    labels: dict[tuple, int] = {}
+    frontier = set()
+    while queue:
+        if budget is not None and len(seen) > budget:
+            raise BudgetExceededError(f"graph needs more than {budget} vertices, budget is {budget}")
+        cur = queue.popleft()
+        # moves come in component order, so the first label of an edge is its least;
+        # a fixed point moves onto cur itself and adds nothing
+        for comp, v, nxt in _row_moves(s, *cur):
+            if v > bound:
+                frontier.add(cur)
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+            if cur < nxt:
+                labels.setdefault((cur, nxt), comp)
+    vertices = sorted(seen)
+    index = {v: i for i, v in enumerate(vertices)}
+    xs = sorted(set().union(*vertices))
+    at = {x: i for i, x in enumerate(xs)}
+    edges = sorted((index[v], index[w], k) for (v, w), k in labels.items())
+    return xs, [(at[a], at[b], at[c]) for a, b, c in vertices], edges, sorted(index[v] for v in frontier)
+
+
+def solution_graph(seed: Triple, bound: int, *, budget: int | None = None) -> SolutionGraph:
     """Conjugation closure of seed among triples with max <= bound.
 
     Chain seeds, whose reduction ends at (s, p, p) with p > s and s | 2p, are
@@ -315,61 +417,32 @@ def solution_graph(seed: Triple, bound: int) -> SolutionGraph:
       path stays in bound and, read backwards, reaches the pair.
 
     Seeds of a base X_g with g > 1 reduce to (s, X_g, X_g) and so are chain
-    seeds of that base.  Values grow with the index, so the pairs in
-    lexicographic order are the vertices in order; (i, j) moves up to
-    (j, i+j) by component 0 and, when 0 < i < j, to (i, i+j) by component 1,
-    and it is on the frontier exactly when i + 2j > N.
+    seeds of that base.  Values grow with the index, so vertex k is the k-th
+    pair in lexicographic order; row i holds the coprime j in
+    [max(i, 1), N - i].  Component 0 moves (i, j) to (j, i+j), component 1
+    (when 0 < i < j) to (i, i+j), and each end is found by arithmetic:
+
+    - (i, i+j), a vertex when 2i + j <= N, is vertex k + phi(i): since
+      gcd(i, j) = gcd(i, i + j), row i repeats with period i, phi(i) entries
+      per period, and phi(i) of them lie in (j, i + j];
+    - (j, i+j) is the next unused vertex of row j: the entries of row j
+      below 2j are j + i over the coprime i < j (i = 0, 1 when j = 1), and
+      their sources (i, j) come before row j in increasing i, those in
+      bound (i <= N - 2j) first;
+    - (i, j) is on the frontier exactly when j > (N - i)/2, that is when its
+      component-0 move, to index i + 2j >= 2i + j, passes N; the move down
+      stays in bound.
+
+    One totient sieve gives phi and the vertex count: 1 when N = 1, else
+    2 + sum_{n=3..N} phi(n)/2, as a sum n = i + j >= 3 has phi(n)/2 coprime
+    pairs i < j and n = 1, 2 give (0, 1) and (1, 1).  BudgetExceededError,
+    before any vertex is built, when that count exceeds `budget`.
 
     Every other seed gets a breadth-first search in value space.  Each
     vertex's moves are computed once, when it leaves the queue; edges (at
     their smaller end) and frontier vertices are recorded as triples and
     renumbered after the sort, which keeps v < w exactly when i < j.
+    BudgetExceededError once it has seen more than `budget` vertices.
     """
-    # the trace checks the seed first: a non-solution is refused before the bound is read
-    low, p, high = reduction_trace(seed)[-1].components
-    start = tuple(sorted(seed.components))
-    if bound < max(start):
-        raise ValueError("bound must cover the seed's maximal component")
-    s = seed.s
-    if low == s < p == high and 2 * p % s == 0:
-        xs = _chain_values(s, p, bound)
-        top = len(xs) - 1
-        # numbered only once all coprime pairs are in, so the numbers the edges keep sit apart from the freed pairs
-        index = dict.fromkeys((i, j) for i in range(top // 2 + 1) for j in range(max(i, 1), top - i + 1) if gcd(i, j) == 1)
-        for k, pair in enumerate(index):
-            index[pair] = k
-        vertices = tuple((xs[i], xs[j], xs[i + j]) for i, j in index)
-        edges, frontier = [], []
-        for k, (i, j) in enumerate(index):
-            # (i, i+j) sorts before (j, i+j), so the edges come out sorted
-            if 0 < i < j and 2 * i + j <= top:
-                edges.append((k, index[i, i + j], 1))
-            if i + 2 * j <= top:
-                edges.append((k, index[j, i + j], 0))
-            else:
-                frontier.append(k)
-        at = bisect_left(vertices, start)
-        if at == len(vertices) or vertices[at] != start:
-            raise InvariantError(f"seed {start} is not in the index-space component of base ({s}, {p})")
-        return SolutionGraph(s, bound, vertices, tuple(edges), tuple(frontier))
-    seen = {start}
-    queue = deque([start])
-    labels: dict[tuple, int] = {}
-    frontier = set()
-    while queue:
-        cur = queue.popleft()
-        # moves come in component order, so the first label of an edge is its least;
-        # a fixed point moves onto cur itself and adds nothing
-        for comp, v, nxt in _row_moves(s, *cur):
-            if v > bound:
-                frontier.add(cur)
-                continue
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-            if cur < nxt:
-                labels.setdefault((cur, nxt), comp)
-    vertices = sorted(seen)
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = tuple(sorted((index[v], index[w], k) for (v, w), k in labels.items()))
-    return SolutionGraph(s, bound, tuple(vertices), edges, tuple(sorted(index[v] for v in frontier)))
+    xs, vertices, edges, frontier = _component(seed, bound, budget)
+    return SolutionGraph(seed.s, bound, tuple((xs[a], xs[b], xs[c]) for a, b, c in vertices), tuple(edges), tuple(frontier))

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayleycubic import (
+    BudgetExceededError,
     InvariantError,
     NonIntegralFamilyError,
     NotASolutionError,
@@ -441,12 +442,18 @@ def dot_oracle(g):
     return "\n".join(lines)
 
 
+def kernel_chunks(seed, bound, dot):
+    """What the CLI streams: the component kernel through the one writer, with the per-index decimals."""
+    xs, vertices, edges, frontier = triples._component(seed, bound, None)
+    return triples._graph_chunks(seed.s, bound, vertices, edges, frontier, [str(x) for x in xs], dot)
+
+
 def assert_matches_oracle(seed, bound):
     g = solution_graph(seed, bound)
     ref = two_pass_solution_graph(seed, bound)
     assert g == ref
-    assert g.to_json() == json.dumps(ref.as_dict())
-    assert g.to_dot() == dot_oracle(ref)
+    assert g.to_json() == "".join(kernel_chunks(seed, bound, False)) == json.dumps(ref.as_dict())
+    assert g.to_dot() == "".join(kernel_chunks(seed, bound, True)) == dot_oracle(ref)
 
 
 @given(
@@ -533,6 +540,64 @@ def test_chain_graph_checks_the_seed_is_a_vertex(monkeypatch):
         solution_graph(family_triple(1, 5, 3, 4), 10**20)
 
 
+@pytest.mark.parametrize(
+    "s, p, bound, count",
+    [
+        (2, 4, 10**300, 41846),
+        (1, 5, 10**300, 13826),
+        (1, 2, 10**100, 4686),
+        (3, 6, 10**50, 1165),
+        (1, 2, 6, 1),  # N = 1: X_2 = 7 is past the bound, (1, 2, 2) alone
+        (1, 2, 25, 2),  # N = 2: (1, 2, 2) and (2, 2, 7)
+    ],
+)
+def test_chain_plan_is_the_vertex_count(monkeypatch, s, p, bound, count):
+    seed = Triple(s, s, p, p)
+    assert len(solution_graph(seed, bound, budget=count).vertices) == count
+    # the plan needs N and the totient sieve alone: the refusal builds no row and no list of chain values
+    monkeypatch.setattr(triples, "compress", lambda *args: pytest.fail("a row was built"))
+    monkeypatch.setattr(triples, "_chain_values", lambda *args: pytest.fail("the chain values were listed"))
+    with pytest.raises(BudgetExceededError, match=rf"^graph needs {count} vertices, budget is {count - 1}$"):
+        solution_graph(seed, bound, budget=count - 1)
+
+
+@given(
+    s=st.integers(min_value=1, max_value=6),
+    mult=st.integers(min_value=3, max_value=8),
+    top=st.integers(min_value=1, max_value=60),
+    where=st.sampled_from(["at", "between"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_chain_plan_on_small_bases(s, mult, top, where):
+    # the budget passes at the vertex count and refuses one below it, so the plan is that count
+    assume(s * mult % 2 == 0)
+    b = s * mult // 2
+    x, nxt = scaled_cheb_t(s, b, top), scaled_cheb_t(s, b, top + 1)
+    bound = x if where == "at" else (x + nxt) // 2
+    seed = Triple(s, s, b, b)
+    count = len(two_pass_solution_graph(seed, bound).vertices)
+    assert len(solution_graph(seed, bound, budget=count).vertices) == count
+    with pytest.raises(BudgetExceededError, match=rf"^graph needs {count} vertices"):
+        solution_graph(seed, bound, budget=count - 1)
+
+
+def test_value_space_graph_refuses_once_past_its_budget():
+    seed = Triple(7, 8, 17, 28)
+    assert len(solution_graph(seed, 10**30, budget=65).vertices) == 65
+    with pytest.raises(BudgetExceededError, match=r"^graph needs more than 64 vertices, budget is 64$"):
+        solution_graph(seed, 10**30, budget=64)
+    with pytest.raises(BudgetExceededError, match=r"^graph needs more than 0 vertices, budget is 0$"):
+        solution_graph(Triple(7, 3, 3, 7), 1000, budget=0)
+
+
+def test_totient_sieve():
+    phi, primes = triples._totients(200)
+    for n in range(1, 201):
+        assert phi[n] == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert primes[n] == [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    assert phi[0] == 0 and primes[0] == []
+
+
 def test_chain_values_refuses_a_chain_that_does_not_increase():
     assert triples._chain_values(1, 2, 100) == [1, 2, 7, 26, 97]
     assert triples._chain_values(4, 6, 100) == [4, 6, 14, 36, 94]
@@ -582,6 +647,12 @@ def test_graph_writers_at_chunk_boundaries(monkeypatch, capsys, seed, bound):
         chunks = list(g._chunks(dot=True))
         assert len(chunks) == 2 + chunk_pieces(v, k, False) + chunk_pieces(e, k, False)
         assert "".join(chunks) == g.to_dot() == want_dot
+        # the kernel's chunks, which the CLI streams, break at the same places
+        for dot, want, pieces in ((False, want_json, 3 + chunk_pieces(v, k, True) + chunk_pieces(e, k, True)),
+                                  (True, want_dot, 2 + chunk_pieces(v, k, False) + chunk_pieces(e, k, False))):
+            chunks = list(kernel_chunks(seed, bound, dot))
+            assert len(chunks) == pieces
+            assert "".join(chunks) == want
         assert run(argv) == 0
         assert capsys.readouterr().out == want_json + "\n"
         assert run(argv + ["--format", "dot"]) == 0

@@ -390,6 +390,31 @@ def test_graph_streams_the_library_strings(capsys, s, seed, bound):
     assert capsys.readouterr().out == g.to_dot()
 
 
+@pytest.mark.parametrize(
+    "s, seed, bound, count, message",
+    [
+        # a chain seed: the plan is the vertex count, read off a totient sieve
+        (2, "2,4,4", 10**300, 41846, "graph needs 41846 vertices, budget is 41845"),
+        # value space: the search stops once it has seen more vertices than the budget
+        (7, "8,17,28", 10**30, 65, "graph needs more than 64 vertices, budget is 64"),
+    ],
+    ids=["chain", "value-space"],
+)
+def test_graph_budget_refuses_before_any_output(capsys, monkeypatch, s, seed, bound, count, message):
+    argv = ["--no-note-corrections", "graph", "--s", str(s), "--seed", seed, "--bound", str(bound)]
+    for fmt in ("json", "dot"):
+        assert run(argv + ["--format", fmt, "--budget", str(count - 1)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        monkeypatch.setenv("CAYLEY_BUDGET", str(count - 1))
+        assert run(argv + ["--format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        monkeypatch.setenv("CAYLEY_BUDGET", str(count))
+        assert run(argv + ["--format", fmt]) == 0
+        want = solution_graph(Triple(s, *map(int, seed.split(","))), bound)
+        assert capsys.readouterr().out == (want.to_dot() if fmt == "dot" else want.to_json() + "\n")
+        monkeypatch.delenv("CAYLEY_BUDGET")
+
+
 def test_graph_reader_closing_mid_output_exits_1_quietly():
     # the graph streams in chunks, so the pipe can break after the first bytes went out
     proc = subprocess.Popen(
@@ -409,6 +434,18 @@ def test_graph_reader_closing_mid_output_exits_1_quietly():
     assert proc.returncode == 1
     assert head.startswith(b'graph cayley {\n  "1,2,2";\n')
     assert err == b""
+
+
+def test_reduce_builds_no_triple_per_step(capsys, monkeypatch):
+    # the descent runs on int rows: a Triple for the input and one for the terminal's flags
+    want, built = [Triple(2, *LONG_CHAIN), Triple(2, 2, 4, 4)], []
+    post_init = Triple.__post_init__
+    monkeypatch.setattr(Triple, "__post_init__", lambda t: built.append(t) or post_init(t))
+    for fmt in ("json", "text"):
+        assert run(["reduce", "--s", "2", "--triple", ",".join(map(str, LONG_CHAIN)), "--format", fmt]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == (1 if fmt == "json" else 41)
+        assert built == want
+        built.clear()
 
 
 def test_reduce_json(capsys):
