@@ -193,12 +193,17 @@ def continuant_interior(word) -> int:
     return _sweep(w[1:])[1]
 
 
+def _matrix_sweep(alpha: tuple[int, ...]) -> tuple[int, int, int]:
+    # (K(alpha), K'(alpha), tr) in two sweeps.  M_alpha = prod [[a, 1], [1, 0]] has
+    # K(alpha), K''(alpha) on its diagonal and K'(alpha) top right, tr = K + K''.  For even
+    # length det M_alpha = 1, so M^2 = tr*M - I: each entry of M^k M_beta, such as
+    # K'(alpha^k beta), obeys x[k+1] = tr*x[k] - x[k-1].
+    k, k_drop = _sweep(alpha)
+    return k, k_drop, k + _sweep(alpha[1:])[1]
+
+
 def _cohn_trace(alpha: tuple[int, ...]) -> int:
-    # M_alpha = prod [[a, 1], [1, 0]] has K(alpha), K''(alpha) on its diagonal
-    # and K'(alpha) top right.  For even length det M_alpha = 1, so M^2 =
-    # tr*M - I: each entry of M^k M_beta, such as K'(alpha^k beta), obeys
-    # x[k+1] = tr*x[k] - x[k-1].
-    return _sweep(alpha)[0] + _sweep(alpha[1:])[1]
+    return _matrix_sweep(alpha)[2]
 
 
 def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
@@ -269,8 +274,9 @@ def sequence_overlap_search(
     2K'(alpha)K''(beta) = K''(alpha)K'(beta), which never holds: K(alpha) >
     K''(alpha) >= 0, K'(beta) >= 1 and K''(beta) >= 0.  Both report lists are
     always empty.  The test still runs on every pair as exhaustive evidence,
-    with K(alpha), K'(alpha), tr once per alpha and K'(beta), K''(beta) once
-    per beta; a pair that passes it raises InvariantError.  The first two
+    with K(alpha), K'(alpha), tr from two sweeps per alpha (`_matrix_sweep`)
+    and K'(beta), K''(beta) from two per beta; a pair that passes it raises
+    InvariantError.  The first two
     terms agree by construction, so max_terms must be >= 3.  The plan is one
     test per (alpha, beta) pair; BudgetExceededError, before any continuant
     is computed, when that exceeds `budget`.
@@ -293,7 +299,7 @@ def sequence_overlap_search(
     ]
     for alen in range(2, max_block_len + 1, 2):
         for alpha in product(entries, repeat=alen):
-            (k, k_drop), tr = _sweep(alpha), _cohn_trace(alpha)
+            k, k_drop, tr = _matrix_sweep(alpha)
             for beta, s0, inner in betas:
                 if 2 * (k * s0 + k_drop * inner) == tr * s0:
                     raise InvariantError(

@@ -1,21 +1,21 @@
 """Bounded exhaustive enumeration and classification of surface solutions.
 
-Enumeration fixes the two smallest components a <= b and solves the
-quadratic in the largest one.  It has a rational root only when
-(a^2 - s^2)(b^2 - s^2) is a square, that is when both factors lie in the
-same signed square class (+- their squarefree part).  So one O(B) pass
-gives each x <= B its class, and only the pairs within a class are tried:
-about B of them for a bound B (most classes hold one x), instead of the
-B^2/2 pairs of the (a, b) grid.  The search stays exhaustive and runs in
-one process.  Classification then connects the enumerated solutions
-by conjugation moves and tags each one, in one pass over the sorted list:
-a solution's reduction parent is enumerated and sorts before it, so its
-terminal base is its parent's, and its family is the positions of its
-components in that base's chain (see `_classify_rows`); the base rows
-(s, p, p), nearly all of the output, are settled in closed form.  The pass
-and the writers work on int rows (a, b, c) and write text in chunks;
-`Triple`, `Fraction` and `Classification` objects are built only for
-library callers.
+At a = s the cubic reads s(b - c)^2 = 0, so the rows with a = s are the base
+run (s, p, p), s <= p <= B: nearly all of the solutions within a bound B.
+The run is never built: enumeration and classification keep state only for
+the other rows, about sqrt(B) of them, and the writers write each base line
+from p alone, between the rows below s and those above it.  A diagonal row
+(b, b, c) comes in closed form, c = s or (2b^2 - s^2)/s, the roots of
+s*c^2 - 2b^2*c + s(2b^2 - s^2) = 0.  For the other pairs a < b, the
+quadratic in c has a rational root only when (a^2 - s^2)(b^2 - s^2) is a
+square, that is when both factors lie in the same signed square class (+-
+their squarefree part).  So one O(B) pass gives each x <= B its class, and
+only the pairs within a class of two or more are tried, instead of the
+B^2/2 pairs of the (a, b) grid.  Classification then connects the rows by
+conjugation moves and tags each one, in one pass over the sorted list (see
+`_classify_rows`); a base row is settled in closed form.  The pass and the
+writers work on int rows (a, b, c) and write text in chunks; `Triple`,
+`Fraction` and `Classification` objects are built only for library callers.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, islice
 from math import gcd, isqrt
+from operator import eq
 
+from . import triples
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _chain_values
 from .triples import Triple, _chunked, _conjugate_numerators, _row_moves, base_value, reduction_trace
@@ -58,53 +61,55 @@ def _squarefree_cores(n: int) -> list[int]:
 
 
 def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
-    """Solutions (a, b, c) with 1 <= a <= b <= c <= bound, in no set order.
+    """Solutions (a, b, c), 1 <= a <= b <= c <= bound, but for the base run, in no set order.
 
-    The quadratic in c has the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).
-    With x^2 - s^2 = +-f*g^2, f squarefree, the product is a square exactly
-    when a and b share the signed class +-f, and then r = f*g_a*g_b.  So only
-    the pairs a <= b within a class are tried (a < s < b never is one), and
-    a = s gives the rows (s, b, b).
-
-    Only (ab + r)/s is tried: the smaller root is below b.  For a > s the
-    quadratic at c = b, (s - a)(2b^2 - s(a + s)), is negative; for a < s
-    the smaller root is below the vertex ab/s < b.
+    At a = s the cubic is s(b - c)^2 = 0: those rows are the base run (s, p, p),
+    s <= p <= bound.  At a = b it is s*c^2 - 2b^2*c + s(2b^2 - s^2) = 0, with the
+    roots s and (2b^2 - s^2)/s.  For b < s the second is below b ((2b + s)(b - s)
+    < 0) and for b > s the first is, so the rows are (b, b, s) for b < s and
+    (b, b, 2b^2/s - s) for b > s when s | 2b^2.  For a < b the quadratic in c has
+    the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).  With x^2 - s^2 = +-f*g^2,
+    f squarefree, that is a square exactly when a and b share the signed class
+    +-f, and then r = f*g_a*g_b: only the pairs a < b within a class of two or
+    more are tried (a < s < b never is one).  Only (ab + r)/s is tried: the
+    smaller root is below b.  For a > s the quadratic at c = b,
+    (s - a)(2b^2 - s(a + s)), is negative; for a < s the smaller root is below
+    the vertex ab/s < b.
     """
     # A solution has a^2 + b^2 + c^2 = s^2 + 2abc/s > s^2, so there is none when
     # 3*bound^2 < s^2; returning here keeps the core table O(bound) however large s is.
     if s * s > 3 * bound * bound:
         return []
-    core = _squarefree_cores(bound + s)
-    # the signed class of x^2 - s^2; x = s (core[0] = 0) gets class 0
-    key = [0] * (bound + 1)
-    for x in range(1, bound + 1):
-        u, v = core[abs(x - s)], core[x + s]
-        f = u * v // gcd(u, v) ** 2
-        key[x] = f if x > s else -f
-    del core
+    rows = [(b, b, s) for b in range(1, s)] if s <= bound else []
+    # the b > s up to isqrt(s(bound + s)/2) are those with 2b^2/s - s <= bound
+    rows += [(b, b, 2 * b * b // s - s) for b in range(s + 1, isqrt(s * (bound + s) // 2) + 1) if not 2 * b * b % s]
+    core, m = _squarefree_cores(bound + s), min(s - 1, bound)
+    # the signed class of x^2 - s^2 = (x - s)(x + s), for x = 1..m and then x = s+1..bound:
+    # the squarefree part of core(|x - s|)*core(x + s)
+    key = [-(u * v // gcd(u, v) ** 2) for u, v in zip(core[s - m : s][::-1], core[s + 1 : s + m + 1])]
+    key += [u * v // gcd(u, v) ** 2 for u, v in zip(core[1 : bound - s + 1], core[2 * s + 1 : bound + s + 1])]
+    del core  # freed before the sort: the table (36 MB at bound 10^6) and the sorted keys are never held together
+    srt = sorted(key)
+    shared = set(compress(srt, map(eq, srt, islice(srt, 1, None))))  # the classes of two or more
+    del srt
+    classes = {}
+    for x, sf in compress(zip(chain(range(1, m + 1), range(s + 1, bound + 1)), key), map(shared.__contains__, key)):
+        classes.setdefault(sf, []).append(x)
     ss = s * s
-    # the sort is stable: each class is one ascending run, and b pairs with
-    # every member so far, itself included
-    rows, members, last = [], [], 0
-    for b in sorted(range(1, bound + 1), key=key.__getitem__):
-        sf = key[b]
-        if sf == 0:
-            continue
-        if sf != last:
-            members, last, f = [], sf, abs(sf)
-        gb = isqrt(abs(b * b - ss) // f)
-        members.append((b, gb))
-        for a, ga in members:
-            c, rem = divmod(a * b + f * ga * gb, s)
-            if rem == 0 and b <= c <= bound:
-                rows.append((a, b, c))
-    del key  # freed first: the class table and the base run's tuples are never alive together
-    rows += [(s, b, b) for b in range(s, bound + 1)]
+    for sf, members in classes.items():
+        f, seen = abs(sf), []
+        for b in members:
+            gb = isqrt(abs(b * b - ss) // f)
+            for a, ga in seen:
+                c, rem = divmod(a * b + f * ga * gb, s)
+                if rem == 0 and b <= c <= bound:
+                    rows.append((a, b, c))
+            seen.append((b, gb))
     return rows
 
 
 def _solution_rows(s: int, bound: int, budget: int | None) -> list[tuple[int, int, int]]:
-    """The rows of `enumerate_solutions` as sorted int tuples (a, b, c), after its checks."""
+    """The rows of `enumerate_solutions` but for the base run, as sorted int tuples (a, b, c), after its checks."""
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
     if bound < 1:
@@ -119,11 +124,13 @@ def enumerate_solutions(s: int, bound: int, *, budget: int | None = None) -> lis
     """All solutions with 1 <= a <= b <= c <= bound, canonical and sorted.
 
     The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of
-    the grid: an upper bound on the pairs the square-class join tries, about
-    bound of them.  If a budget is given and the plan exceeds it, the call
-    fails up front rather than part-way.  The join runs in this process.
+    the grid: an upper bound on the pairs the square-class join tries.  If a
+    budget is given and the plan exceeds it, the call fails up front rather
+    than part-way.  The join runs in this process.
     """
-    return [Triple(s, *r) for r in _solution_rows(s, bound, budget)]
+    rows = _solution_rows(s, bound, budget)
+    nlow = bisect_left(rows, (s,))
+    return [Triple(s, *r) for r in chain(rows[:nlow], ((s, p, p) for p in range(s, bound + 1)), rows[nlow:])]
 
 
 def _chain_family(s: int, comps: tuple[int, int, int], p: int, index: dict[int, int]) -> tuple[int, int, int]:
@@ -178,27 +185,37 @@ _TAG_SETS = [tuple(tag for bit, tag in enumerate(TAG_ORDER) if mask >> bit & 1) 
 _TAG_JSON = {tags: json.dumps(list(tags)) for tags in _TAG_SETS}
 
 
-def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
-    """The pass of `classify`: each sorted row's (tags, family, component), by an iterator that finds components as read.
+def _base_class(s: int, bound: int, p: int) -> tuple[tuple[str, ...], tuple[int, int, int] | None]:
+    """(tags, family) of the base row (s, p, p), in closed form: both p are fixed points
+    (2sp/s - p = p), so it is not isolated; s moves up to (p, p, 2p^2/s - s) when s | 2p^2,
+    a frontier past the bound; and it is (X_0, X_1, X_1) of the chain at base p when s | 2p."""
+    q, r = divmod(2 * p * p, s)
+    fam = None if 2 * p % s else (p, 0, 1)
+    return _TAG_SETS[1 | (fam is not None) << 1 | (not r and q - s > bound) << 3], fam
 
-    Each row is first checked to solve the cubic, exactly in integers.  A
-    base row (s, p, p), p >= s, most of the output, is then settled in
-    closed form: both p components are fixed points (2sp/s - p = p), so it
-    is not isolated and is a terminal, and s moves up to (p, p, 2p^2/s - s)
-    when s | 2p^2.  Past the bound that move makes it frontier-limited;
-    within it, the union comes from the row it lands on, whose move of its
-    largest component comes back (p = s moves onto itself).  For the other
-    rows, the moves of `_row_moves` give the union/find edges and both tags.
-    The conjugate of c, the last and maximal component, is the move of
-    `reduction_trace`.  When it shrinks the row it lands on the
-    reduction parent, which is enumerated (positive, within the bound) and
-    sorts earlier (one component got smaller), so each row takes its
-    parent's terminal base; one without such a move is a terminal.  The
-    family is then read off that base's chain with the checks of
-    `family_membership`, one value-to-index table per base.  Moved rows are
-    found by bisection; `parent` holds only the rows a move touched.
+
+def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
+    """The pass of `classify`: (tags, family, component) of each sorted row but for the base
+    run, and joined, the component of each row index a move touched (any other is its own).
+
+    Row indices run over the sorted order with the base run in place.  Each row,
+    base rows included, is first checked to solve the cubic, exactly in integers.
+    A base row keeps no state: `_base_class` settles it, and its move's union
+    comes from the row it lands on, (p, p, 2p^2/s - s), whose move of c comes
+    back.  For the other rows the moves of `_row_moves` give the union/find edges
+    and both tags; a moved row (s, p, p) is at index nlow + p - s, any other is
+    found by bisection.  The move of c, the last and maximal component, is that
+    of `reduction_trace`: when it shrinks the row it lands on the reduction
+    parent, which is enumerated (positive, within the bound) and sorts earlier
+    (one component got smaller), so each row takes its parent's terminal base;
+    one without such a move is a terminal.  The family is then read off that
+    base's chain with the checks of `family_membership`, one table per base.
     """
-    parent = {}
+    sss, nlow, nbase = s * s * s, bisect_left(rows, (s,)), max(bound - s + 1, 0)
+    for p in range(s, bound + 1):
+        if value := s * (s * s + p * p + p * p) - sss - 2 * s * p * p:
+            raise NotASolutionError(f"(s={s}; {s},{p},{p}) is not a solution (value {value})")
+    parent, chains, classes = {}, {}, []  # chains: {X_k: k} of each base p met off its terminal
 
     def find(i: int) -> int:
         while (up := parent.get(i, i)) != i:
@@ -206,19 +223,14 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             i = parent[i]
         return i
 
-    sss = s * s * s
-    chains = {}  # {X_k: k} of each base p met off its terminal
-    tags, fams = [], []
+    def family(j: int) -> tuple[int, int, int] | None:  # of a row the pass has passed
+        return _base_class(s, bound, j - nlow + s)[1] if nlow <= j < nlow + nbase else classes[j - (j >= nlow) * nbase][1]
+
     for i, (a, b, c) in enumerate(rows):
         value = s * (a * a + b * b + c * c) - sss - 2 * a * b * c
         if value:
             raise NotASolutionError(f"(s={s}; {a},{b},{c}) is not a solution (value {value})")
-        if a == s and b == c:
-            q, r = divmod(2 * b * b, s)
-            fam = None if 2 * b % s else (b, 0, 1)
-            tags.append(_TAG_SETS[1 | (fam is not None) << 1 | (not r and q - s > bound) << 3])
-            fams.append(fam)
-            continue
+        i += (i >= nlow) * nbase
         isolated, frontier, up = True, False, None
         for k, cv, moved in _row_moves(s, a, b, c):
             # a fixed point moves onto the row itself: not isolated, but it joins nothing
@@ -226,8 +238,11 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             if cv > bound:
                 frontier = True
                 continue
-            j = bisect_left(rows, moved)
-            if j == len(rows) or rows[j] != moved:
+            if moved[0] == s and moved[1] == moved[2]:
+                j = nlow + moved[1] - s
+            elif (j := bisect_left(rows, moved)) < len(rows) and rows[j] == moved:
+                j += (j >= nlow) * nbase
+            else:
                 raise InvariantError(f"the move of {(a, b, c)} lands on {moved}, which was not enumerated")
             ri, rj = find(i), find(j)
             # the smaller root stays, so find(i) ends as the least index of i's component
@@ -239,16 +254,14 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
         if up is None:
             # a terminal (p, p, s), p < s, is its own base when s | 2p
             fam = None if base is None or 2 * base % s else (base, 0, 1)
-        elif fams[up] is None:
-            fam = None
-        else:
-            p = fams[up][0]  # the parent's terminal base
+        elif (fam := family(up)) is not None:
+            p = fam[0]  # the parent's terminal base
             if p not in chains:
                 chains[p] = {x: k for k, x in enumerate(_chain_values(s, p, bound))}
             fam = _chain_family(s, (a, b, c), p, chains[p])
-        tags.append(_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3])
-        fams.append(fam)
-    return zip(tags, fams, (find(i) if i in parent else i for i in range(len(rows))))
+        classes.append((_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3], fam, i))
+    joined = {i: find(i) for i in parent}
+    return [(t, f, joined.get(i, i)) for t, f, i in classes], joined
 
 
 def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classification]:
@@ -257,22 +270,16 @@ def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classific
     The pass is `_classify_rows`, over int rows; the objects are built here, for library callers.
     """
     rows = _solution_rows(s, bound, budget)
+    records, joined = _classify_rows(s, bound, rows)
+    nlow = bisect_left(rows, (s,))
+    base = (((s, p, p), (*_base_class(s, bound, p), joined.get(i := nlow + p - s, i))) for p in range(s, bound + 1))
     return [
-        Classification(Triple(s, a, b, c), t, f, k, tuple(Fraction(n, s) for n in _conjugate_numerators(s, a, b, c)))
-        for (a, b, c), (t, f, k) in zip(rows, _classify_rows(s, bound, rows))
+        Classification(Triple(s, *r), t, f, k, tuple(Fraction(n, s) for n in _conjugate_numerators(s, *r)))
+        for r, (t, f, k) in chain(zip(rows[:nlow], records), base, zip(rows[nlow:], records[nlow:]))
     ]
 
 
-def _conjugate_texts(s: int, a: int, b: int, c: int) -> list[str]:
-    """str() of the row's conjugates as `Fraction`s, each reduced by one gcd.  Those
-    of a base row (s, p, p) are (2p^2 - s^2)/s, p and p: one gcd in all."""
-    if a == s and b == c:
-        n, p = 2 * b * b - s * s, str(b)
-        return [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}", p, p]
-    return [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, a, b, c)]
-
-
-# the four writers' chunk formats, by (csv, classified)
+# the four writers' chunk formats and CSV headers, by (csv, classified)
 _ROW_FORMATS = {
     (True, False): lambda batch: "".join([f"{s},{a},{b},{c}\r\n" for s, a, b, c in batch]),
     (False, False): lambda batch: "".join([f'{{"s": {s}, "triple": [{a}, {b}, {c}]}}\n' for s, a, b, c in batch]),
@@ -285,42 +292,77 @@ _ROW_FORMATS = {
         for s, a, b, c, t, f, k, (x, y, z) in batch
     ]),
 }
+_HEADERS = {(True, False): "s,a,b,c\r\n", (True, True): "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n"}
 
 
-def _row_chunks(records, csv: bool, classified: bool):
-    """The four writers' text in the chunks of `_chunked`, from records (s, a, b, c),
-    or (s, a, b, c, tags, family, component, conjugates) for a classification,
-    each conjugate a str or a Fraction.  Each record is unpacked as it is
-    formatted; none is kept past its line."""
-    if csv:
-        yield "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n" if classified else "s,a,b,c\r\n"
-    yield from _chunked(records, _ROW_FORMATS[csv, classified])
+def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: bool, joined: dict[int, int]) -> str:
+    """The lines of the base rows (s, p, p), p in ps, each written from p in the format of
+    `_ROW_FORMATS[csv, classified]`: for `classify`, the tags and family of `_base_class`,
+    the component of row index p + off from `joined`, the conjugates (2p^2 - s^2)/s, p, p."""
+    head = f"{s},{s}," if csv else f'{{"s": {s}, "triple": [{s}, '
+    if not classified:
+        return "".join([f"{head}{p},{p}\r\n" for p in ps] if csv else [f"{head}{p}, {p}]}}\n" for p in ps])
+    ss, split, kinds, lines = s * s, isqrt(s * (bound + s) // 2), {}, []
+    for p in ps:
+        # the tags, the family's presence and gcd(2p^2 - s^2, s) = gcd(2p^2, s) depend only on
+        # p mod s and on p > split, past which a move of s (when s | 2p^2) leaves the bound
+        if (kind := kinds.get(key := p % s + (p > split) * s)) is None:
+            (tags, fam), g = _base_class(s, bound, p), gcd(2 * p * p - ss, s)
+            kind = kinds[key] = ("|".join(tags) if csv else _TAG_JSON[tags], fam, g, "" if g == s else f"/{s // g}")
+        tags, fam, g, den = kind
+        x, i = f"{(2 * p * p - ss) // g}{den}", p + off
+        lines.append(
+            f"{head}{p},{p},{tags},{x},{p},{p}\r\n" if csv else f'{head}{p}, {p}], "tags": {tags}, "family": '
+            f'{"null" if fam is None else f"[{p}, 0, 1]"}, "component": {joined.get(i, i)}, "conjugates": ["{x}", "{p}", "{p}"]}}\n'
+        )
+    return "".join(lines)
+
+
+def _row_text(records, csv: bool, classified: bool) -> str:
+    """The four writers' text in the chunks of `_chunked`, from records (s, a, b, c), or
+    (s, a, b, c, tags, family, component, conjugates) for a classification, each conjugate
+    a str or a Fraction.  Each record is unpacked as it is formatted; none is kept past its line."""
+    return "".join([_HEADERS.get((csv, classified), ""), *_chunked(records, _ROW_FORMATS[csv, classified])])
 
 
 def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool):
-    """`search` or `classify` output in chunks, from int rows.  Every check and
-    the whole classify pass run in this call, before the first chunk: a later
-    row can still join two earlier components."""
+    """`search` or `classify` output in chunks of `_CHUNK_LINES` lines, in sorted order: the
+    records of the rows below s, the base run from `_base_text`, the records of the rows
+    above s.  Every check and the whole classify pass run in this call, before the first
+    chunk: a later row can still join two earlier components."""
     rows = _solution_rows(s, bound, budget)
-    if not classified:
-        return _row_chunks(((s, a, b, c) for a, b, c in rows), csv, False)
-    tagged = zip(rows, _classify_rows(s, bound, rows))
-    return _row_chunks(((s, a, b, c, t, f, k, _conjugate_texts(s, a, b, c)) for (a, b, c), (t, f, k) in tagged), csv, True)
+    nlow, nbase, fmt = bisect_left(rows, (s,)), max(bound - s + 1, 0), _ROW_FORMATS[csv, classified]
+    if classified:
+        tagged, joined = _classify_rows(s, bound, rows)
+        # each conjugate n/s as str(Fraction(n, s)), reduced by one gcd
+        records = [
+            (s, *r, *rec, [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, *r)])
+            for r, rec in zip(rows, tagged)
+        ]
+    else:
+        records, joined = [(s, *r) for r in rows], {}
+    top, size = nlow + nbase, triples._CHUNK_LINES  # top: the row index past the base run
+    return chain([_HEADERS[csv, classified]] if csv else [], (
+        fmt(records[lo : min(lo + size, nlow)])
+        + _base_text(s, bound, range(max(lo, nlow) - nlow + s, min(lo + size, top) - nlow + s), nlow - s, csv, classified, joined)
+        + fmt(records[max(lo, top) - nbase : max(lo + size - nbase, 0)])
+        for lo in range(0, len(rows) + nbase, size)
+    ))
 
 
 def triples_to_csv(sols: list[Triple]) -> str:
     """CSV with a header, byte for byte what `csv.writer` writes (CRLF line ends)."""
-    return "".join(_row_chunks(((t.s, t.a, t.b, t.c) for t in sols), True, False))
+    return _row_text(((t.s, t.a, t.b, t.c) for t in sols), True, False)
 
 
 def triples_to_jsonl(sols: list[Triple]) -> str:
     """One JSON object per line, byte for byte what `json.dumps` writes."""
-    return "".join(_row_chunks(((t.s, t.a, t.b, t.c) for t in sols), False, False))
+    return _row_text(((t.s, t.a, t.b, t.c) for t in sols), False, False)
 
 
 def _classification_text(rows: list[Classification], csv: bool) -> str:
     records = ((r.triple.s, r.triple.a, r.triple.b, r.triple.c, r.tags, r.family, r.component, r.conjugates) for r in rows)
-    return "".join(_row_chunks(records, csv, True))
+    return _row_text(records, csv, True)
 
 
 def classifications_to_csv(rows: list[Classification]) -> str:

@@ -423,12 +423,14 @@ def test_overlap_search_pairs_agree_with_direct_continuants(monkeypatch, shift):
     # no pair passes the real test; a trace patched to 2*(K(alpha) +
     # shift*K'(alpha)) at one alpha at a time lets pairs pass, and the search
     # must raise at the first beta whose direct values satisfy the same test
-    real_trace = mk._cohn_trace
+    real_sweeps = mk._matrix_sweep
     fake_trace = lambda a: 2 * (continuant(a) + shift * continuant_drop_last(a))
     betas = [beta for blen in range(1, 5) for beta in product((1, 2, 3), repeat=blen)]
     raised = 0
     for alpha in [a for alen in (2, 4) for a in product((1, 2, 3), repeat=alen)]:
-        monkeypatch.setattr(mk, "_cohn_trace", lambda a: fake_trace(a) if a == alpha else real_trace(a))
+        monkeypatch.setattr(
+            mk, "_matrix_sweep", lambda a: (*real_sweeps(a)[:2], fake_trace(a)) if a == alpha else real_sweeps(a)
+        )
         want = [
             beta
             for beta in betas
@@ -451,6 +453,16 @@ def test_overlap_search_checks_reported_pairs(monkeypatch):
     monkeypatch.setattr(mk, "_sweep", lambda w: (2, 9) if tuple(w) == (2,) else real(w))
     with pytest.raises(InvariantError, match=re.escape("alpha=[2, 2], beta=[1, 1] ")):
         sequence_overlap_search(2, 2, 3)
+
+
+def test_overlap_search_sweeps_each_word_twice(monkeypatch):
+    # 90 alphas and 120 betas at the defaults, two sweeps each: the trace of an alpha
+    # comes from the sweep of alpha[1:], next to the sweep of alpha that gives K and K'
+    real = mk._sweep
+    words = []
+    monkeypatch.setattr(mk, "_sweep", lambda w: words.append(w) or real(w))
+    sequence_overlap_search()
+    assert len(words) == 420 == 2 * (90 + 120)
 
 
 def test_overlap_search_defaults_find_nothing():
@@ -525,7 +537,7 @@ def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_en
     def no_continuant(word):
         raise AssertionError("a refused search must not compute a continuant")
 
-    for name in ("_sweep", "continuant", "continuant_drop_last", "continuant_interior", "_cohn_trace"):
+    for name in ("_sweep", "continuant", "continuant_drop_last", "continuant_interior", "_cohn_trace", "_matrix_sweep"):
         monkeypatch.setattr(mk, name, no_continuant)
     with pytest.raises(BudgetExceededError, match=f"needs {plan} pair tests, budget is {plan - 1}"):
         sequence_overlap_search(max_entry, max_block_len, 3, budget=plan - 1)

@@ -61,6 +61,19 @@ def test_enumerate_matches_grid_oracle(s, bound):
     assert [t.components for t in enumerate_solutions(s, bound)] == _grid_enumerate(s, bound)
 
 
+@given(s=st.integers(1, 40), bound=st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+def test_base_run_and_diagonal_facts_against_grid_oracle(s, bound):
+    grid = _grid_enumerate(s, bound)
+    # a = s: the cubic is s(b - c)^2 = 0
+    assert all(b == c for a, b, c in grid if a == s)
+    # a = b: the roots in c are s and (2a^2 - s^2)/s
+    assert all(c == s or s * c == 2 * a * a - s * s for a, b, c in grid if a == b)
+    # the square-class join with the diagonal in closed form gives every grid row but the base run
+    assert sorted(sr._enumerate_range(s, bound)) == [r for r in grid if r[0] != s]
+    assert [r for r in grid if r[0] == s] == [(s, p, p) for p in range(s, bound + 1)]
+
+
 @pytest.mark.parametrize(
     "s, bound",
     [
@@ -184,18 +197,27 @@ def test_enumerate_with_no_room_builds_no_core_table(monkeypatch):
     assert enumerate_solutions(10**9, 10) == []
 
 
-@pytest.mark.parametrize("s", [1, 12, 30])
-def test_enumerate_holds_one_copy_of_its_rows(s):
-    # the base run (s, b, b) is built after the square-class tables are freed, so
-    # the peak is the returned rows plus the sort's second list of references
+def _held_after(call):
+    """(the result of call(), the bytes it allocated that are still held when it returns)."""
     tracemalloc.start()
     try:
-        rows = sr._solution_rows(s, 20000, None)
-        size, peak = tracemalloc.get_traced_memory()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(rows) > 20000 - s
-    assert peak <= 1.3 * size
+
+
+@pytest.mark.parametrize("s", [1, 12, 30])
+def test_enumerate_holds_one_copy_of_its_rows(s):
+    # the rows hold no base row (s, p, p), so what stays held grows with the
+    # non-base rows, about sqrt(bound), not with the bound: under 3x for 4x the bound
+    held = {}
+    for bound in (20000, 80000):
+        rows, held[bound] = _held_after(lambda: sr._solution_rows(s, bound, None))
+        assert rows == sorted(rows) and all(a != s for a, _, _ in rows)
+        assert len(rows) < 4 * isqrt(bound)
+    assert held[80000] < 3 * held[20000]
+    assert held[20000] < 8 * 20000  # less than one pointer per base row
 
 
 def test_enumerate_small_s5():
@@ -695,20 +717,15 @@ def test_classify_requires_every_moved_row_enumerated(monkeypatch, capsys, s, bo
 
 @pytest.mark.parametrize("s", [12, 30])
 def test_classify_pass_keeps_no_component_list(s):
-    # once _chunks returns, the pass has run; what it holds past the rows is a tag and a
-    # family per row and the union-find links of the touched rows, but no component ids
-    tracemalloc.start()
-    try:
-        rows = sr._solution_rows(s, 20000, None)
-        rows_size = tracemalloc.get_traced_memory()[0]
-        del rows
-        baseline = tracemalloc.get_traced_memory()[0]
-        chunks = sr._chunks(s, 20000, None, False, True)
-        held = tracemalloc.get_traced_memory()[0] - baseline
-    finally:
-        tracemalloc.stop()
-    assert held <= 1.4 * rows_size
-    assert next(chunks).startswith(f'{{"s": {s}, "triple": [1, ')
+    # once _chunks returns, the pass has run; what it holds is a tag and a family per
+    # non-base row and the components of the rows a move touched, nothing per base row,
+    # so it grows with the non-base rows, about sqrt(bound): under 3x for 4x the bound
+    held = {}
+    for bound in (20000, 80000):
+        chunks, held[bound] = _held_after(lambda: sr._chunks(s, bound, None, False, True))
+        assert next(chunks).startswith(f'{{"s": {s}, "triple": [1, ')
+    assert held[80000] < 3 * held[20000]
+    assert held[20000] < 8 * 20000  # less than one pointer per base row
 
 
 def _patch_chain(monkeypatch, edit):
