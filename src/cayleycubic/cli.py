@@ -137,8 +137,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_pell_one(args) -> int:
-    inst = pl.family_one_instance(args.s, args.y)
-    sols = pl.pell_family_one_members(args.s, args.y, args.count)
+    inst, sols = pl._family_one(args.s, args.y, args.count)
     _emit_pell(args, inst, sols, "chain-family-one", convention={"companion_index": "n-1"}, s=args.s, y=args.y)
     return 0
 

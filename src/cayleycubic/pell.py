@@ -88,17 +88,21 @@ def pell_family_one(s: int, y: int, n: int) -> PellSolution:
 
 
 def pell_family_one_members(s: int, y: int, count: int) -> list[PellSolution]:
-    """pell_family_one(s, y, n) for n = 1..count, in one pass: the chain from
+    """pell_family_one(s, y, n) for n = 1..count, in one pass (see `_family_one`)."""
+    return _family_one(s, y, count)[1]
+
+
+def _family_one(s: int, y: int, count: int) -> tuple[PellInstance, list[PellSolution]]:
+    """family_one_instance(s, y) and its members for n = 1..count, in one pass: the chain from
     index 1 beside its companion from index 0, both X[k+1] = (2y/s)*X[k] - X[k-1];
     the base and every member are checked."""
-    inst = family_one_instance(s, y)
-    mult = family_multiplier(s, y)
+    inst, mult = family_one_instance(s, y), family_multiplier(s, y)
     members = map(PellSolution, islice(_recurrence(mult, 1, s, y), 1, None), _recurrence(mult, 1, 1, mult))
     sols = list(islice(members, max(count, 0)))
     for sol in sols:
         if not inst.holds(*sol):
             raise InvariantError(f"chain solution {sol} fails {inst}")
-    return sols
+    return inst, sols
 
 
 def family_two_instance(s: int, p: int, n: int) -> PellInstance:

@@ -10,12 +10,13 @@ s*c^2 - 2b^2*c + s(2b^2 - s^2) = 0.  For the other pairs a < b, the
 quadratic in c has a rational root only when (a^2 - s^2)(b^2 - s^2) is a
 square, that is when both factors lie in the same signed square class (+-
 their squarefree part).  So one O(B) pass gives each x <= B its class, and
-only the pairs within a class of two or more are tried, instead of the
-B^2/2 pairs of the (a, b) grid.  Classification then connects the rows by
-conjugation moves and tags each one, in one pass over the sorted list (see
-`_classify_rows`); a base row is settled in closed form.  The pass and the
-writers work on int rows (a, b, c) and write text in chunks; `Triple`,
-`Fraction` and `Classification` objects are built only for library callers.
+only the pairs within the classes of the x <= sqrt(s(B + s)/2) are tried,
+instead of the B^2/2 pairs of the (a, b) grid.  Classification then
+connects the rows by conjugation moves and tags each one, in one pass over
+the sorted list (see `_classify_rows`); a base row is settled in closed
+form.  The pass and the writers work on int rows (a, b, c) and write text in
+chunks; `Triple`, `Fraction` and `Classification` objects are built only for
+library callers.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, cycle, repeat
 from math import gcd, isqrt
-from operator import eq
+from operator import floordiv
 
 from . import triples
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
@@ -49,14 +50,18 @@ TAG_ORDER = ("base", "r-family", "isolated", "frontier-limited")
 
 
 def _squarefree_cores(n: int) -> list[int]:
-    """core[k] for 0 <= k <= n: k with every square factor divided out."""
-    core = list(range(n + 1))
-    for k in range(2, isqrt(n) + 1):
-        kk = k * k
-        # a composite k never divides: its primes' squares are already gone
-        for m in range(kk, n + 1, kk):
-            while core[m] % kk == 0:
-                core[m] //= kk
+    """core[k] for 0 <= k <= n: k with every square factor divided out.  For each prime p <= sqrt(n)
+    (a bytearray sieve), the slices at the strides p^2, p^4, ... <= n are divided by p^2: k lies on
+    e // 2 of them when p^e exactly divides it."""
+    core, r = list(range(n + 1)), isqrt(n)
+    sieve = bytearray([0, 0]) + bytearray([1]) * (r - 1)
+    for p in range(2, isqrt(r) + 1):
+        sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    for p in compress(range(r + 1), sieve):
+        q = pp = p * p
+        while q <= n:
+            core[q::q] = map(floordiv, core[q::q], repeat(pp))
+            q *= pp
     return core
 
 
@@ -70,30 +75,31 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     (b, b, 2b^2/s - s) for b > s when s | 2b^2.  For a < b the quadratic in c has
     the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).  With x^2 - s^2 = +-f*g^2,
     f squarefree, that is a square exactly when a and b share the signed class
-    +-f, and then r = f*g_a*g_b: only the pairs a < b within a class of two or
-    more are tried (a < s < b never is one).  Only (ab + r)/s is tried: the
-    smaller root is below b.  For a > s the quadratic at c = b,
-    (s - a)(2b^2 - s(a + s)), is negative; for a < s the smaller root is below
-    the vertex ab/s < b.
+    +-f, and then r = f*g_a*g_b: only the pairs a < b within one class are
+    tried (a < s < b never is one).  Only (ab + r)/s is tried: the smaller root
+    is below b.  For a > s the quadratic at c = b, (s - a)(2b^2 - s(a + s)), is
+    negative; for a < s the smaller root is below the vertex ab/s < b.
+
+    Only the classes of the small members, x < s or s < x <= split =
+    isqrt(s(bound + s)/2), are gathered: in a row's pair a < b either b < s, or
+    s < a and r^2 = (a^2 - s^2)(b^2 - s^2) >= (a^2 - s^2)^2, so s*c = ab + r >=
+    2a^2 - s^2, and c <= bound gives 2a^2 <= s(bound + s), that is a <= split.
     """
     # A solution has a^2 + b^2 + c^2 = s^2 + 2abc/s > s^2, so there is none when
     # 3*bound^2 < s^2; returning here keeps the core table O(bound) however large s is.
     if s * s > 3 * bound * bound:
         return []
-    rows = [(b, b, s) for b in range(1, s)] if s <= bound else []
-    # the b > s up to isqrt(s(bound + s)/2) are those with 2b^2/s - s <= bound
-    rows += [(b, b, 2 * b * b // s - s) for b in range(s + 1, isqrt(s * (bound + s) // 2) + 1) if not 2 * b * b % s]
+    rows, split = [(b, b, s) for b in range(1, s)] if s <= bound else [], isqrt(s * (bound + s) // 2)
+    # the b > s up to split are those with 2b^2/s - s <= bound
+    rows += [(b, b, 2 * b * b // s - s) for b in range(s + 1, split + 1) if not 2 * b * b % s]
     core, m = _squarefree_cores(bound + s), min(s - 1, bound)
     # the signed class of x^2 - s^2 = (x - s)(x + s), for x = 1..m and then x = s+1..bound:
     # the squarefree part of core(|x - s|)*core(x + s)
     key = [-(u * v // gcd(u, v) ** 2) for u, v in zip(core[s - m : s][::-1], core[s + 1 : s + m + 1])]
     key += [u * v // gcd(u, v) ** 2 for u, v in zip(core[1 : bound - s + 1], core[2 * s + 1 : bound + s + 1])]
-    del core  # freed before the sort: the table (36 MB at bound 10^6) and the sorted keys are never held together
-    srt = sorted(key)
-    shared = set(compress(srt, map(eq, srt, islice(srt, 1, None))))  # the classes of two or more
-    del srt
+    small = set(key[: m + max(split - s, 0)])  # the classes of x = 1..m and x = s+1..split
     classes = {}
-    for x, sf in compress(zip(chain(range(1, m + 1), range(s + 1, bound + 1)), key), map(shared.__contains__, key)):
+    for x, sf in compress(zip(chain(range(1, m + 1), range(s + 1, bound + 1)), key), map(small.__contains__, key)):
         classes.setdefault(sf, []).append(x)
     ss = s * s
     for sf, members in classes.items():
@@ -302,19 +308,20 @@ def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: b
     head = f"{s},{s}," if csv else f'{{"s": {s}, "triple": [{s}, '
     if not classified:
         return "".join([f"{head}{p},{p}\r\n" for p in ps] if csv else [f"{head}{p}, {p}]}}\n" for p in ps])
-    ss, split, kinds, lines = s * s, isqrt(s * (bound + s) // 2), {}, []
-    for p in ps:
-        # the tags, the family's presence and gcd(2p^2 - s^2, s) = gcd(2p^2, s) depend only on
-        # p mod s and on p > split, past which a move of s (when s | 2p^2) leaves the bound
-        if (kind := kinds.get(key := p % s + (p > split) * s)) is None:
+    ss, split, lines = s * s, isqrt(s * (bound + s) // 2), []
+    # the tags, the family's presence and gcd(2p^2 - s^2, s) = gcd(2p^2, s) depend only on
+    # p mod s and on p > split, past which a move of s (when s | 2p^2) leaves the bound
+    for seg in (range(ps.start, min(ps.stop, split + 1)), range(max(ps.start, split + 1), ps.stop)):
+        kinds = []
+        for p in seg[:s]:
             (tags, fam), g = _base_class(s, bound, p), gcd(2 * p * p - ss, s)
-            kind = kinds[key] = ("|".join(tags) if csv else _TAG_JSON[tags], fam, g, "" if g == s else f"/{s // g}")
-        tags, fam, g, den = kind
-        x, i = f"{(2 * p * p - ss) // g}{den}", p + off
-        lines.append(
-            f"{head}{p},{p},{tags},{x},{p},{p}\r\n" if csv else f'{head}{p}, {p}], "tags": {tags}, "family": '
-            f'{"null" if fam is None else f"[{p}, 0, 1]"}, "component": {joined.get(i, i)}, "conjugates": ["{x}", "{p}", "{p}"]}}\n'
-        )
+            kinds.append(("|".join(tags) if csv else _TAG_JSON[tags], fam is None, g, "" if g == s else f"/{s // g}"))
+        for p, (tags, nofam, g, den), i in zip(seg, cycle(kinds), count(seg.start + off)):
+            x, q = f"{(2 * p * p - ss) // g}{den}", str(p)
+            lines.append(
+                f"{head}{q},{q},{tags},{x},{q},{q}\r\n" if csv else f'{head}{q}, {q}], "tags": {tags}, "family": '
+                f'{"null" if nofam else f"[{q}, 0, 1]"}, "component": {joined.get(i, i)}, "conjugates": ["{x}", "{q}", "{q}"]}}\n'
+            )
     return "".join(lines)
 
 

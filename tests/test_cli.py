@@ -506,6 +506,17 @@ def test_pell_one_count_zero_on_a_valid_base(capsys):
     assert capsys.readouterr().out == "\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_pell_one_builds_one_instance(capsys, monkeypatch, fmt):
+    # the members are checked against the instance the command prints: it is built once
+    built = []
+    post_init = PellInstance.__post_init__
+    monkeypatch.setattr(PellInstance, "__post_init__", lambda inst: built.append(inst) or post_init(inst))
+    assert run(["pell-one", "--s", "3", "--y", "6", "--count", "3", "--format", fmt]) == 0
+    assert "78" in capsys.readouterr().out
+    assert [(inst.d, inst.rhs) for inst in built] == [(27, 9)]
+
+
 def test_pell_two_payload(capsys):
     code = run(["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", "3"])
     blob = json.loads(capsys.readouterr().out)

@@ -126,7 +126,9 @@ def _square_class_scan(s, bound):
     return sorted(rows)
 
 
-def test_squarefree_cores_match_trial_division():
+# up to 3 no prime runs, up to 15 only the strides p^2, 16 and 63 add 2^4, 64 adds 2^6
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 63, 64, 5000])
+def test_squarefree_cores_match_trial_division(n):
     # the core of k is the product of the primes that divide k an odd number of times
     def core(k):
         out, p = 1, 2
@@ -138,9 +140,9 @@ def test_squarefree_cores_match_trial_division():
             p += 1
         return out * k  # what is left is 1 or a prime
 
-    table = sr._squarefree_cores(5000)
-    assert len(table) == 5001 and table[0] == 0
-    for k in range(1, 5001):
+    table = sr._squarefree_cores(n)
+    assert len(table) == n + 1 and table[0] == 0
+    for k in range(1, n + 1):
         assert table[k] == core(k), k
 
 
@@ -178,8 +180,18 @@ def test_enumerate_pinned_against_square_class_scan(s, bound):
         # r = 7*9*6 = 378, c = (54 + 378)/24
         (24, (3, 18, 18)),
         # a < b in the class +1: 13^2 - 12^2 = 5^2, 15^2 - 12^2 = 9^2,
-        # r = 45, c = (195 + 45)/12
+        # r = 45, c = (195 + 45)/12; a sits on the bound of the small members,
+        # isqrt(12*(20 + 12)/2) = 13, as in each row below
         (12, (13, 15, 20)),
+        # the class +2: 9^2 - 7^2 = 2*4^2, 11^2 - 7^2 = 2*6^2, r = 48, c = (99 + 48)/7;
+        # isqrt(7*(21 + 7)/2) = 9
+        (7, (9, 11, 21)),
+        # the class +1: 25^2 - 24^2 = 7^2, 26^2 - 24^2 = 10^2, r = 70, c = (650 + 70)/24;
+        # isqrt(24*(30 + 24)/2) = 25
+        (24, (25, 26, 30)),
+        # the class +1: 50^2 - 48^2 = 14^2, 52^2 - 48^2 = 20^2, r = 280, c = (2600 + 280)/48;
+        # isqrt(48*(60 + 48)/2) = 50
+        (48, (50, 52, 60)),
     ],
 )
 def test_enumerate_finds_each_kind_of_class_pair(s, row):
