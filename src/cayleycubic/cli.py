@@ -38,7 +38,7 @@ CORRECTION_NOTES = {
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{what} must be comma-separated integers, got {text!r}")
 

@@ -44,11 +44,9 @@ def markov_value(x: int, y: int, z: int) -> int:
     return x * x + y * y + z * z - 3 * x * y * z
 
 
-def _flip(t: MarkovTriple, index: int) -> MarkovTriple:
-    """The move of markov_neighbor without its checks."""
-    out = list(t)
-    out[index] = 3 * out[index - 1] * out[index - 2] - out[index]
-    return tuple(out)
+def _flip(t: MarkovTriple, index: int) -> int:
+    """The value markov_neighbor puts at `index`, 3*(product of the others) - t[index], unchecked."""
+    return 3 * t[index - 1] * t[index - 2] - t[index]
 
 
 def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
@@ -59,12 +57,12 @@ def markov_neighbor(t: MarkovTriple, index: int) -> MarkovTriple:
     """
     if index not in (0, 1, 2):
         raise ValueError(f"component index must be 0, 1 or 2, got {index}")
-    if min(t) < 1:
+    if not all(isinstance(v, int) for v in t) or min(t) < 1:
         raise ValueError(f"components must be positive integers, got {t}")
     if markov_value(*t) != 0:
         raise NotASolutionError(f"{t} does not solve the Markov equation")
     # the two roots have product y^2 + z^2 > 0 and sum 3yz > 0 (Vieta), so both are positive
-    result = _flip(t, index)
+    result = (*t[:index], _flip(t, index), *t[index + 1:])
     if markov_value(*result) != 0:
         raise InvariantError(f"the move from {t} at {index} gave the non-solution {result}")
     return result
@@ -75,9 +73,9 @@ def _tree_rows(depth: int, budget: int | None, decimal: bool = True) -> list[tup
 
     A sorted parent (a, b, c) has the sorted children (b, c, 3bc - a) and
     (a, c, 3ac - b), one when a == b; moving c leads back.  The parent solves
-    the equation, so the moved component v is a root of X^2 - 3uc*X + u^2 + c^2
-    and the child (u, c, w) solves it exactly when v*w == u^2 + c^2 (Vieta):
-    by induction from the literal root, every triple is checked exactly.  A
+    the equation, so the moved component v is a root of X^2 - 3uc*X + u^2 + c^2,
+    and the child (u, c, w), with w = _flip(t, i), solves it exactly when w > c and
+    v*w == u^2 + c^2 (Vieta): by induction from the literal root, every triple is checked.  A
     number becomes decimal once, in the row it is the new maximum of (None with
     decimal=False).  InvariantError on a failed check, a count off plan or a repeat.
     """
@@ -100,7 +98,7 @@ def _tree_rows(depth: int, budget: int | None, decimal: bool = True) -> list[tup
             t = (a, b, c)
             cc = c * c
             for i, u, su in ((0, b, sb), (1, a, sa)) if a != b else ((0, b, sb),):
-                w = _flip(t, i)[i]
+                w = _flip(t, i)
                 if not (w > c and t[i] * w == u * u + cc):
                     raise InvariantError(f"the move from {t} at {i} gave the non-solution {(u, c, w)}")
                 nxt.append((u, c, w, su, sc, str(w) if decimal else None, row))
@@ -158,7 +156,7 @@ def markov_tree_dot(depth: int, budget: int | None = None) -> str:
 def _check_word(word) -> tuple[int, ...]:
     w = tuple(word)
     for v in w:
-        if v < 1:
+        if not isinstance(v, int) or v < 1:
             raise ValueError(f"word entries must be positive integers, got {v}")
     return w
 
@@ -202,10 +200,6 @@ def _matrix_sweep(alpha: tuple[int, ...]) -> tuple[int, int, int]:
     return k, k_drop, k + _sweep(alpha[1:])[1]
 
 
-def _cohn_trace(alpha: tuple[int, ...]) -> int:
-    return _matrix_sweep(alpha)[2]
-
-
 def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
     """[K'(beta), K'(alpha beta), K'(alpha^2 beta), ...] for even-length alpha.
 
@@ -223,7 +217,7 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
     # the k = 0 term of an empty beta is the sweep's start value K'() = 0
     direct = [_sweep(a * k + b)[1] for k in range(count)]
     if count > 1:
-        for k, (want, nxt) in enumerate(zip(direct, _recurrence(_cohn_trace(a), 1, *direct[:2]))):
+        for k, (want, nxt) in enumerate(zip(direct, _recurrence(_matrix_sweep(a)[2], 1, *direct[:2]))):
             if nxt != want:
                 raise InvariantError(
                     f"recurrence term {nxt} disagrees with direct value {want} at k={k}"

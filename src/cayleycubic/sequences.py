@@ -26,7 +26,7 @@ __all__ = [
 
 
 def _check_positive(name: str, value: int) -> None:
-    if value < 1:
+    if not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
@@ -48,6 +48,8 @@ def _terms(t: int, q: int, x0: int, x1: int, *indices: int) -> tuple[int, ...]:
     a 1 bit steps once more (D. H. Lehmer, Ann. of Math. 31, 1930).  O(log n)
     exact multiplications per index, and no division.
     """
+    if not (isinstance(t, int) and isinstance(q, int)):
+        raise ValueError(f"recurrence coefficients must be integers, got ({t}, {q})")
     if min(indices, default=0) < 0:
         raise ValueError(f"sequence index must be non-negative, got {min(indices)}")
     out = []

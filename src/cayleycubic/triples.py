@@ -79,7 +79,7 @@ class Triple:
 
     def __post_init__(self) -> None:
         for name, v in (("s", self.s), ("a", self.a), ("b", self.b), ("c", self.c)):
-            if v < 1:
+            if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v}")
 
     @property
@@ -228,6 +228,8 @@ def euclid_index_path(n: int, m: int) -> list[tuple[int, int]]:
     second entry).  The path mirrors reduction_trace on the corresponding
     chain triple: both visit one state per step.
     """
+    if not (isinstance(n, int) and isinstance(m, int)):
+        raise ValueError(f"indices must be integers, got ({n}, {m})")
     if n < 0 or m < 0:
         raise ValueError(f"indices must be non-negative, got ({n}, {m})")
     if n == 0 and m == 0:

@@ -532,6 +532,35 @@ def test_chain_graph_needs_no_conjugation_per_vertex(monkeypatch):
     assert calls <= steps + 3
 
 
+def matrix_power_chain(s, p, bound):
+    """X_0, X_1, ... up to the bound, X_n = s*tr(M^n)/2 with M = [[2p/s, -1], [1, 0]], by repeated
+    2x2 products: no recurrence and no index doubling."""
+    (e, f), (g, h) = (2 * p // s, -1), (1, 0)
+    (a, b), (c, d) = (1, 0), (0, 1)
+    xs = []
+    while (x := s * (a + d)) <= 2 * bound:
+        assert x % 2 == 0
+        xs.append(x // 2)
+        (a, b), (c, d) = (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+    return xs
+
+
+@pytest.mark.parametrize(
+    "s, p, bound, size", [(2, 4, 10**40, 736), (1, 5, 10**40, 246), (3, 6, 10**30, 416), (6, 9, 10**30, 748)]
+)
+def test_chain_component_matches_matrix_powers(s, p, bound, size):
+    # a chain vertex (i, j) is (X_i, X_j, X_{i+j}), since M^i M^j = M^(i+j)
+    xs = matrix_power_chain(s, p, bound)
+    top = len(xs) - 1
+    seed = Triple(s, s, p, p)
+    assert triples._component(seed, bound, None)[0] == xs
+    want = {
+        tuple(sorted((xs[i], xs[j], xs[i + j]))) for i in range(top + 1) for j in range(i, top + 1 - i) if gcd(i, j) == 1
+    }
+    assert list(solution_graph(seed, bound).vertices) == sorted(want)
+    assert len(want) == size
+
+
 def test_chain_graph_checks_the_seed_is_a_vertex(monkeypatch):
     chain_values = triples._chain_values
     # the values of another chain: the seed's component is not among them
@@ -718,6 +747,10 @@ def test_s1_solutions_match_generated_chain_set(s1_solutions_2000):
         (lambda: family_triple(4, 2, 3, 2), ValueError, r"^chain value X_3 = -4 of base \(4, 2\) is not positive$"),
         (lambda: family_triple(4, 2, 0, 2), ValueError, r"^chain value X_2 = -2 of base \(4, 2\) is not positive$"),
         (lambda: euclid_index_path(-1, 2), ValueError, r"indices must be non-negative, got \(-1, 2\)"),
+        # a float is refused, not carried into a float result
+        (lambda: Triple(1, 2.0, 2, 1), ValueError, "^a must be a positive integer, got 2.0$"),
+        (lambda: family_triple(2, 4.0, 3, 2), ValueError, "^b must be a positive integer, got 4.0$"),
+        (lambda: euclid_index_path(2.0, 1), ValueError, r"^indices must be integers, got \(2.0, 1\)$"),
     ],
 )
 def test_triples_input_checks(call, error, message):

@@ -838,8 +838,7 @@ def test_markov_tree_failed_check_writes_nothing(capsys, monkeypatch):
 
     def off_flip(t, i):
         # (2, 5, 29) at 1 leads to (2, 29, 169); make it 170
-        out = flip(t, i)
-        return (2, 170, 29) if (t, i) == ((2, 5, 29), 1) else out
+        return 170 if (t, i) == ((2, 5, 29), 1) else flip(t, i)
 
     monkeypatch.setattr(markov, "_flip", off_flip)
     for fmt in ("json", "dot"):

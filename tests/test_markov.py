@@ -26,7 +26,6 @@ from cayleycubic import (
 from cayleycubic import markov as mk
 from cayleycubic import triples
 from cayleycubic.cli import run
-from cayleycubic.markov import _cohn_trace
 from conftest import chunk_pieces, chunk_sizes
 
 
@@ -140,6 +139,44 @@ def test_markov_tree_matches_neighbor_bfs(depth):
     assert markov_tree_json(depth) == json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
 
 
+def mat_mul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def cohn_tree(depth):
+    """Reference for the tree that makes no Markov move: {triple: parent} from Cohn matrices.
+
+    Past (1, 1, 1) and (1, 1, 2), each node is a matrix triple (L, LR, R), starting from
+    (A, AB, B), with children (L, L*LR, LR) and (LR, LR*R, R); its Markov triple is a third of
+    each trace (M. Aigner, Markov's Theorem and 100 Years of the Uniqueness Conjecture, 2013).
+    """
+    parents = {(1, 1, 1): None}
+    if depth >= 1:
+        parents[(1, 1, 2)] = (1, 1, 1)
+    a, b = ((2, 1), (1, 1)), ((5, 2), (2, 1))
+    level = [((a, mat_mul(a, b), b), (1, 1, 2))]
+    for _ in range(2, depth + 1):
+        nxt = []
+        for (left, mid, right), parent in level:
+            traces = [m[0][0] + m[1][1] for m in (left, mid, right)]
+            assert all(tr % 3 == 0 for tr in traces)
+            t = tuple(sorted(tr // 3 for tr in traces))
+            assert t not in parents
+            parents[t] = parent
+            nxt += [((left, mat_mul(left, mid), mid), t), ((mid, mat_mul(mid, right), right), t)]
+        level = nxt
+    return parents
+
+
+@pytest.mark.parametrize("depth", range(13))
+def test_markov_tree_matches_cohn_matrices(depth):
+    parents = cohn_tree(depth)
+    assert markov_tree(depth) == sorted(parents)
+    assert markov_tree_dot(depth) == reference_tree_dot(parents, {t: p for t, p in parents.items() if p})
+
+
 @pytest.mark.parametrize("depth", [1, 6, 9])
 def test_markov_tree_writers_at_chunk_boundaries(monkeypatch, capsys, depth):
     seen, parents = neighbor_bfs_levels(depth)
@@ -185,11 +222,16 @@ def test_markov_tree_size_closed_form():
 
 
 def _moves(monkeypatch, depth):
-    """markov_tree(depth) and every (triple, index) move it makes, in order."""
+    """markov_tree(depth) and every (triple, index) move it makes, in order, each with its new value."""
     moves = []
     flip = mk._flip
+
+    def recorded(t, i):
+        moves.append((t, i, flip(t, i)))
+        return moves[-1][2]
+
     with monkeypatch.context() as m:
-        m.setattr(mk, "_flip", lambda t, i: moves.append((t, i)) or flip(t, i))
+        m.setattr(mk, "_flip", recorded)
         tree = markov_tree(depth)
     return tree, moves
 
@@ -199,10 +241,7 @@ def _flip_off_at(monkeypatch, move, delta):
     flip = mk._flip
 
     def off_flip(t, i):
-        out = flip(t, i)
-        if (t, i) != move:
-            return out
-        return tuple(v + delta if k == i else v for k, v in enumerate(out))
+        return flip(t, i) + delta if (t, i) == move else flip(t, i)
 
     monkeypatch.setattr(mk, "_flip", off_flip)
 
@@ -214,20 +253,24 @@ def test_markov_tree_checks_each_new_triple_once(monkeypatch):
     # and of (1, 1, 2) are one
     assert len(moves) == len(tree) - 1 == 2**9
     assert len(set(moves)) == len(moves)
+    # each move's value is the maximum of its child, and the component markov_neighbor puts there
+    assert sorted(w for _, _, w in moves) == sorted(t[2] for t in tree[1:])
+    assert all(type(w) is int for _, _, w in moves)
+    assert all(markov_neighbor(t, i)[i] == w for t, i, w in moves)
     # and each move is checked: one that is off by one there alone raises
     _, moves = _moves(monkeypatch, 6)
     assert len(moves) == 32
-    for move in moves:
+    for t, i, _ in moves:
         for delta in (1, -1):
             with monkeypatch.context() as m:
-                _flip_off_at(m, move, delta)
+                _flip_off_at(m, (t, i), delta)
                 with pytest.raises(InvariantError):
                     markov_tree(6)
 
 
 def test_markov_tree_raises_on_a_bad_new_triple(monkeypatch):
     # a move that gives a wrong value deep in the tree: (2, 5, 29) at 5 leads to (2, 29, 169)
-    assert mk._flip((2, 5, 29), 1) == (2, 169, 29)
+    assert mk._flip((2, 5, 29), 1) == 169
     _flip_off_at(monkeypatch, ((2, 5, 29), 1), 1)
     assert len(markov_tree(3)) == 5
     with pytest.raises(InvariantError):
@@ -236,12 +279,12 @@ def test_markov_tree_raises_on_a_bad_new_triple(monkeypatch):
         markov_tree_dot(4)
 
 
-@pytest.mark.parametrize("bad", [(0, 0, 0), (1, -1, -1)])
+@pytest.mark.parametrize("bad", [(1, 1, 0), (1, 1, -2)])
 def test_markov_tree_raises_on_a_non_positive_component(monkeypatch, bad):
-    # both solve the equation; only the positivity test rejects them
-    assert markov_value(*bad) == 0
-    monkeypatch.setattr(mk, "_flip", lambda t, i: bad)
-    with pytest.raises(InvariantError):
+    # the only move of (1, 1, 1) gives the child (1, 1, w); a non-positive w fails both
+    # w > c and the Vieta product 1*w == 1 + 1
+    monkeypatch.setattr(mk, "_flip", lambda t, i: bad[2])
+    with pytest.raises(InvariantError, match=re.escape(f"gave the non-solution {bad}")):
         markov_tree(1)
 
 
@@ -334,14 +377,14 @@ def test_trace_is_power_ratio():
     for alen in (2, 4):
         for alpha in product((1, 2, 3), repeat=alen):
             q = Fraction(continuant_drop_last(alpha + alpha), continuant_drop_last(alpha))
-            assert _cohn_trace(alpha) == q
+            assert mk._matrix_sweep(alpha)[2] == q
             count += 1
     assert count == 90
 
 
 def test_power_sequence_checks_each_term(monkeypatch):
     # a wrong multiplier keeps the first two (direct) terms and fails the third
-    monkeypatch.setattr(mk, "_cohn_trace", lambda a: 4)
+    monkeypatch.setattr(mk, "_matrix_sweep", lambda a: (0, 0, 4))
     assert continuant_power_sequence((1, 1), (2,), 2) == [1, 2]
     with pytest.raises(InvariantError):
         continuant_power_sequence((1, 1), (2,), 3)
@@ -537,7 +580,7 @@ def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_en
     def no_continuant(word):
         raise AssertionError("a refused search must not compute a continuant")
 
-    for name in ("_sweep", "continuant", "continuant_drop_last", "continuant_interior", "_cohn_trace", "_matrix_sweep"):
+    for name in ("_sweep", "continuant", "continuant_drop_last", "continuant_interior", "_matrix_sweep"):
         monkeypatch.setattr(mk, name, no_continuant)
     with pytest.raises(BudgetExceededError, match=f"needs {plan} pair tests, budget is {plan - 1}"):
         sequence_overlap_search(max_entry, max_block_len, 3, budget=plan - 1)
@@ -549,6 +592,9 @@ def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_en
         (lambda: markov_neighbor((0, 1, 1), 0), ValueError, r"components must be positive integers, got \(0, 1, 1\)"),
         (lambda: continuant_power_sequence((1, 2), (1,), 0), ValueError, "count must be >= 1, got 0"),
         (lambda: splitting_identity_holds((), (1,)), ValueError, "alpha must be non-empty"),
+        # a float is refused, not carried into a float result
+        (lambda: markov_neighbor((1.0, 1, 1), 0), ValueError, r"^components must be positive integers, got \(1.0, 1, 1\)$"),
+        (lambda: continuant((2.5, 1)), ValueError, "^word entries must be positive integers, got 2.5$"),
     ],
 )
 def test_markov_input_checks(call, error, message):

@@ -57,6 +57,13 @@ def test_cheb_argument_validation():
         cheb_t(-1, 2)
     with pytest.raises(ValueError):
         cheb_u(2, 0)
+    # a float is refused, not carried into a float result
+    with pytest.raises(ValueError, match="^x must be a positive integer, got 2.5$"):
+        cheb_t(3, 2.5)
+    with pytest.raises(ValueError, match=r"^recurrence coefficients must be integers, got \(2.5, 1\)$"):
+        lucas_u(2.5, 1, 3)
+    with pytest.raises(ValueError, match=r"^recurrence coefficients must be integers, got \(2, -1.5\)$"):
+        lucas_v(2, -1.5, 3)
 
 
 def test_product_to_sum_identity():
