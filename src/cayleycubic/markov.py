@@ -79,7 +79,7 @@ def _tree_rows(depth: int, budget: int | None, decimal: bool = True) -> list[tup
     number becomes decimal once, in the row it is the new maximum of (None with
     decimal=False).  InvariantError on a failed check, a count off plan or a repeat.
     """
-    if depth < 0:
+    if not isinstance(depth, int) or depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
     if depth > MAX_TREE_DEPTH:
         raise ValueError(f"depth {depth} exceeds the cap of {MAX_TREE_DEPTH}")
@@ -212,7 +212,7 @@ def continuant_power_sequence(alpha, beta, count: int) -> list[int]:
     b = _check_word(beta)
     if not a or len(a) % 2:
         raise ValueError(f"alpha must be a non-empty word of even length, got {a}")
-    if count < 1:
+    if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     # the k = 0 term of an empty beta is the sweep's start value K'() = 0
     direct = [_sweep(a * k + b)[1] for k in range(count)]
@@ -275,9 +275,9 @@ def sequence_overlap_search(
     test per (alpha, beta) pair; BudgetExceededError, before any continuant
     is computed, when that exceeds `budget`.
     """
-    if max_terms < 3:
+    if not isinstance(max_terms, int) or max_terms < 3:
         raise ValueError(f"max_terms must be >= 3, got {max_terms}")
-    if max_entry < 1 or max_block_len < 2:
+    if not (isinstance(max_entry, int) and isinstance(max_block_len, int)) or max_entry < 1 or max_block_len < 2:
         raise ValueError("need max_entry >= 1 and max_block_len >= 2")
     planned = sum(max_entry**alen for alen in range(2, max_block_len + 1, 2)) * sum(
         max_entry**blen for blen in range(1, max_block_len + 1)

@@ -194,7 +194,7 @@ def pell_oracle(
     BudgetExceededError, before either scan, when that exceeds `budget`, and
     before any work when the isqrt(min(d, bound)) - 1 trial divisions for g do.
     """
-    if bound < 1:
+    if not isinstance(bound, int) or bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     d, n, form = inst.d, inst.rhs, inst.form
     if n == 0:

@@ -4,16 +4,15 @@ At a = s the cubic reads s(b - c)^2 = 0, so the rows with a = s are the base
 run (s, p, p), s <= p <= B: nearly all of the solutions within a bound B.
 The run is never built: enumeration and classification keep state only for
 the other rows, about sqrt(B) of them, and the writers write each base line
-from p alone, between the rows below s and those above it.  A diagonal row
-(b, b, c) comes in closed form, c = s or (2b^2 - s^2)/s, the roots of
-s*c^2 - 2b^2*c + s(2b^2 - s^2) = 0.  For the other pairs a < b, the
-quadratic in c has a rational root only when (a^2 - s^2)(b^2 - s^2) is a
-square, that is when both factors lie in the same signed square class (+-
-their squarefree part).  So one O(B) pass gives each x <= B its class, and
-only the pairs within the classes of the x <= sqrt(s(B + s)/2) are tried,
-instead of the B^2/2 pairs of the (a, b) grid.  Classification then
-connects the rows by conjugation moves and tags each one, in one pass over
-the sorted list (see `_classify_rows`); a base row is settled in closed
+from p alone, between the rows below s and those above it.  For every other
+pair a <= b, the quadratic in c has a rational root only when
+(a^2 - s^2)(b^2 - s^2) is a square, that is when both factors lie in the
+same signed square class (+- their squarefree part); a member paired with
+itself gives the diagonal row (b, b, c).  So one O(B) pass gives each x <= B
+its class, and only the pairs within the classes of the x <= sqrt(s(B + s)/2)
+are tried, instead of the B^2/2 pairs of the (a, b) grid.  Classification
+then connects the rows by conjugation moves and tags each one, in one pass
+over the sorted list (see `_classify_rows`); a base row is settled in closed
 form.  The pass and the writers work on int rows (a, b, c) and write text in
 chunks; `Triple`, `Fraction` and `Classification` objects are built only for
 library callers.
@@ -69,19 +68,17 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     """Solutions (a, b, c), 1 <= a <= b <= c <= bound, but for the base run, in no set order.
 
     At a = s the cubic is s(b - c)^2 = 0: those rows are the base run (s, p, p),
-    s <= p <= bound.  At a = b it is s*c^2 - 2b^2*c + s(2b^2 - s^2) = 0, with the
-    roots s and (2b^2 - s^2)/s.  For b < s the second is below b ((2b + s)(b - s)
-    < 0) and for b > s the first is, so the rows are (b, b, s) for b < s and
-    (b, b, 2b^2/s - s) for b > s when s | 2b^2.  For a < b the quadratic in c has
-    the roots (ab +- r)/s with r^2 = (a^2-s^2)(b^2-s^2).  With x^2 - s^2 = +-f*g^2,
-    f squarefree, that is a square exactly when a and b share the signed class
-    +-f, and then r = f*g_a*g_b: only the pairs a < b within one class are
-    tried (a < s < b never is one).  Only (ab + r)/s is tried: the smaller root
-    is below b.  For a > s the quadratic at c = b, (s - a)(2b^2 - s(a + s)), is
-    negative; for a < s the smaller root is below the vertex ab/s < b.
+    s <= p <= bound.  For a <= b the quadratic in c has the roots (ab +- r)/s
+    with r^2 = (a^2-s^2)(b^2-s^2).  With x^2 - s^2 = +-f*g^2, f squarefree, that
+    is a square exactly when a and b share the signed class +-f, and then
+    r = f*g_a*g_b: only the pairs a <= b within one class are tried, a member
+    with itself included (a < s < b never is one).  Only (ab + r)/s is tried:
+    the smaller root is below b.  For a > s the quadratic at c = b,
+    (s - a)(2b^2 - s(a + s)), is negative; for a < s the smaller root is below
+    the vertex ab/s < b.
 
     Only the classes of the small members, x < s or s < x <= split =
-    isqrt(s(bound + s)/2), are gathered: in a row's pair a < b either b < s, or
+    isqrt(s(bound + s)/2), are gathered: in a row's pair a <= b either b < s, or
     s < a and r^2 = (a^2 - s^2)(b^2 - s^2) >= (a^2 - s^2)^2, so s*c = ab + r >=
     2a^2 - s^2, and c <= bound gives 2a^2 <= s(bound + s), that is a <= split.
     """
@@ -89,9 +86,7 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     # 3*bound^2 < s^2; returning here keeps the core table O(bound) however large s is.
     if s * s > 3 * bound * bound:
         return []
-    rows, split = [(b, b, s) for b in range(1, s)] if s <= bound else [], isqrt(s * (bound + s) // 2)
-    # the b > s up to split are those with 2b^2/s - s <= bound
-    rows += [(b, b, 2 * b * b // s - s) for b in range(s + 1, split + 1) if not 2 * b * b % s]
+    rows, split = [], isqrt(s * (bound + s) // 2)
     core, m = _squarefree_cores(bound + s), min(s - 1, bound)
     # the signed class of x^2 - s^2 = (x - s)(x + s), for x = 1..m and then x = s+1..bound:
     # the squarefree part of core(|x - s|)*core(x + s)
@@ -105,20 +100,19 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     for sf, members in classes.items():
         f, seen = abs(sf), []
         for b in members:
-            gb = isqrt(abs(b * b - ss) // f)
+            seen.append((b, gb := isqrt(abs(b * b - ss) // f)))
             for a, ga in seen:
                 c, rem = divmod(a * b + f * ga * gb, s)
                 if rem == 0 and b <= c <= bound:
                     rows.append((a, b, c))
-            seen.append((b, gb))
     return rows
 
 
 def _solution_rows(s: int, bound: int, budget: int | None) -> list[tuple[int, int, int]]:
     """The rows of `enumerate_solutions` but for the base run, as sorted int tuples (a, b, c), after its checks."""
-    if s < 1:
+    if not isinstance(s, int) or s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    if bound < 1:
+    if not isinstance(bound, int) or bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     planned = bound * (bound + 1) // 2
     if budget is not None and planned > budget:

@@ -50,8 +50,8 @@ def _terms(t: int, q: int, x0: int, x1: int, *indices: int) -> tuple[int, ...]:
     """
     if not (isinstance(t, int) and isinstance(q, int)):
         raise ValueError(f"recurrence coefficients must be integers, got ({t}, {q})")
-    if min(indices, default=0) < 0:
-        raise ValueError(f"sequence index must be non-negative, got {min(indices)}")
+    if bad := [n for n in indices if not isinstance(n, int) or n < 0]:
+        raise ValueError(f"sequence index must be non-negative, got {min(bad)}")
     out = []
     for n in indices:
         u0, u1 = 0, 1

@@ -363,7 +363,7 @@ def _component(seed: Triple, bound: int, budget: int | None):
     # the descent checks the seed first: a non-solution is refused before the bound is read
     *_, (low, p, high) = _descent(seed)
     start = tuple(sorted(seed.components))
-    if bound < start[2]:
+    if not isinstance(bound, int) or bound < start[2]:
         raise ValueError("bound must cover the seed's maximal component")
     s = seed.s
     if low == s < p == high and 2 * p % s == 0:

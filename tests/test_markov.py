@@ -595,6 +595,9 @@ def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_en
         # a float is refused, not carried into a float result
         (lambda: markov_neighbor((1.0, 1, 1), 0), ValueError, r"^components must be positive integers, got \(1.0, 1, 1\)$"),
         (lambda: continuant((2.5, 1)), ValueError, "^word entries must be positive integers, got 2.5$"),
+        (lambda: markov_tree(2.0), ValueError, "^depth must be non-negative, got 2.0$"),
+        (lambda: continuant_power_sequence((1, 1), (2,), 2.0), ValueError, "^count must be >= 1, got 2.0$"),
+        (lambda: sequence_overlap_search(2.0, 2, 3), ValueError, "^need max_entry >= 1 and max_block_len >= 2$"),
     ],
 )
 def test_markov_input_checks(call, error, message):

@@ -449,6 +449,9 @@ def test_oracle_budget_refuses_before_factoring(monkeypatch, d, bound, trials):
         (lambda: pell_family_two(1, 4, 2, 0), ValueError, "m must be >= 1, got 0"),
         (lambda: pell_family_two(1, 4, 0, 1), ValueError, "n must be >= 1, got 0"),
         (lambda: pell_oracle(PellInstance(3, 1), 0), ValueError, "bound must be >= 1, got 0"),
+        # a float is refused, not carried into a float result
+        (lambda: pell_oracle(PellInstance(2, 1), 10.5), ValueError, "^bound must be >= 1, got 10.5$"),
+        (lambda: pell_family_one(1, 3, 2.0), ValueError, "^sequence index must be non-negative, got 2.0$"),
     ],
 )
 def test_pell_input_checks(call, error, message):

@@ -69,7 +69,7 @@ def test_base_run_and_diagonal_facts_against_grid_oracle(s, bound):
     assert all(b == c for a, b, c in grid if a == s)
     # a = b: the roots in c are s and (2a^2 - s^2)/s
     assert all(c == s or s * c == 2 * a * a - s * s for a, b, c in grid if a == b)
-    # the square-class join with the diagonal in closed form gives every grid row but the base run
+    # the square-class join, each member also paired with itself, gives every grid row but the base run
     assert sorted(sr._enumerate_range(s, bound)) == [r for r in grid if r[0] != s]
     assert [r for r in grid if r[0] == s] == [(s, p, p) for p in range(s, bound + 1)]
 
@@ -836,6 +836,9 @@ def test_cli_stdout_matches_oracle_writers(capsys, s):
     [
         (lambda: enumerate_solutions(0, 10), ValueError, "s must be a positive integer, got 0"),
         (lambda: enumerate_solutions(1, 0), ValueError, "bound must be >= 1, got 0"),
+        # a float is refused, not carried into a float result
+        (lambda: enumerate_solutions(1, 10.5), ValueError, "^bound must be >= 1, got 10.5$"),
+        (lambda: classify(1.0, 5), ValueError, "^s must be a positive integer, got 1.0$"),
     ],
 )
 def test_search_input_checks(call, error, message):

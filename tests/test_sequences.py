@@ -64,6 +64,13 @@ def test_cheb_argument_validation():
         lucas_u(2.5, 1, 3)
     with pytest.raises(ValueError, match=r"^recurrence coefficients must be integers, got \(2, -1.5\)$"):
         lucas_v(2, -1.5, 3)
+    # and a float index, before bin() reads it
+    with pytest.raises(ValueError, match="^sequence index must be non-negative, got 2.0$"):
+        cheb_t(2.0, 3)
+    with pytest.raises(ValueError, match="^sequence index must be non-negative, got 3.0$"):
+        lucas_u(2, 1, 3.0)
+    with pytest.raises(ValueError, match="^sequence index must be non-negative, got 2.0$"):
+        scaled_cheb_t(1, 3, 2.0)
 
 
 def test_product_to_sum_identity():
