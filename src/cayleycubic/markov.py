@@ -10,12 +10,11 @@ chains possible at all.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import islice, product
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _recurrence
-from .triples import _chunked
+from .triples import _chunked, _Record
 
 __all__ = [
     "MarkovTriple",
@@ -236,16 +235,18 @@ def splitting_identity_holds(alpha, beta) -> bool:
     return _sweep(a + ab)[1] == k * _sweep(ab)[1] + k_drop * _sweep(ab[1:])[1]
 
 
-@dataclass
-class OverlapReport:
-    """Findings of sequence_overlap_search, JSON-ready via as_dict()."""
+class OverlapReport(_Record):
+    """Findings of sequence_overlap_search, JSON-ready via as_dict(), which copies each field;
+    unlike the other value types its fields can be assigned, and so it is unhashable."""
 
-    bounds: dict
-    matches_s_ge_2: list
-    s1_coincidences: list
+    __slots__ = ("bounds", "matches_s_ge_2", "s1_coincidences")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, bounds: dict, matches_s_ge_2: list, s1_coincidences: list) -> None:
+        self.bounds, self.matches_s_ge_2, self.s1_coincidences = bounds, matches_s_ge_2, s1_coincidences
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: value.copy() for name, value in zip(self.__slots__, self._values(self))}
 
 
 def sequence_overlap_search(
@@ -277,7 +278,10 @@ def sequence_overlap_search(
     """
     if not isinstance(max_terms, int) or max_terms < 3:
         raise ValueError(f"max_terms must be >= 3, got {max_terms}")
-    if not (isinstance(max_entry, int) and isinstance(max_block_len, int)) or max_entry < 1 or max_block_len < 2:
+    for name, value in (("max_entry", max_entry), ("max_block_len", max_block_len)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value}")
+    if max_entry < 1 or max_block_len < 2:
         raise ValueError("need max_entry >= 1 and max_block_len >= 2")
     planned = sum(max_entry**alen for alen in range(2, max_block_len + 1, 2)) * sum(
         max_entry**blen for blen in range(1, max_block_len + 1)

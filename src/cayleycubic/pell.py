@@ -8,13 +8,13 @@ multiplies the solutions in one fundamental domain by the fundamental unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from math import isqrt
-from typing import NamedTuple
 
 from .errors import BudgetExceededError, DegeneratePellError, InvariantError
 from .sequences import _recurrence, _terms, family_multiplier, scaled_cheb_t, scaled_cheb_u
+from .triples import _Record
 
 __all__ = [
     "FORM_Z",
@@ -34,13 +34,14 @@ FORM_Z = "z2-da2"
 FORM_A = "a2-dz2"
 
 
-@dataclass(frozen=True)
-class PellInstance:
+class PellInstance(_Record):
     """One equation: z^2 - d*a^2 = rhs (form z2-da2) or a^2 - d*z^2 = rhs (form a2-dz2)."""
 
-    d: int
-    rhs: int
-    form: str = FORM_Z
+    __slots__ = ("d", "rhs", "form")
+
+    def __init__(self, d: int, rhs: int, form: str = FORM_Z) -> None:
+        self._fill(d, rhs, form)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.d < 2 or isqrt(self.d) ** 2 == self.d:
@@ -54,9 +55,7 @@ class PellInstance:
         return a * a - self.d * z * z == self.rhs
 
 
-class PellSolution(NamedTuple):
-    z: int
-    a: int
+PellSolution = namedtuple("PellSolution", "z a")
 
 
 def verify_pell(inst: PellInstance, sol: tuple[int, int]) -> bool:
@@ -96,6 +95,8 @@ def _family_one(s: int, y: int, count: int) -> tuple[PellInstance, list[PellSolu
     """family_one_instance(s, y) and its members for n = 1..count, in one pass: the chain from
     index 1 beside its companion from index 0, both X[k+1] = (2y/s)*X[k] - X[k-1];
     the base and every member are checked."""
+    if not isinstance(count, int):
+        raise ValueError(f"count must be an integer, got {count}")
     inst, mult = family_one_instance(s, y), family_multiplier(s, y)
     members = map(PellSolution, islice(_recurrence(mult, 1, s, y), 1, None), _recurrence(mult, 1, 1, mult))
     sols = list(islice(members, max(count, 0)))

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress, count, cycle, repeat
 from math import gcd, isqrt
 from operator import floordiv
@@ -31,7 +29,7 @@ from operator import floordiv
 from . import triples
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _chain_values
-from .triples import Triple, _chunked, _conjugate_numerators, _row_moves, base_value, reduction_trace
+from .triples import Triple, _chunked, _conjugate_numerators, _Record, _row_moves, base_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -164,8 +162,7 @@ def family_membership(t: Triple) -> tuple[int, int, int] | None:
     return _chain_family(t.s, t.components, p, index)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """One enumerated solution with its tags and exact conjugate data.
 
     tags is an ordered subset of ("base", "r-family", "isolated",
@@ -173,11 +170,10 @@ class Classification:
     member of the triple's conjugation component within the bound.
     """
 
-    triple: Triple
-    tags: tuple[str, ...]
-    family: tuple[int, int, int] | None
-    component: int
-    conjugates: tuple[Fraction, Fraction, Fraction]
+    __slots__ = ("triple", "tags", "family", "component", "conjugates")
+
+    def __init__(self, triple: Triple, tags: tuple[str, ...], family: tuple | None, component: int, conjugates: tuple) -> None:
+        self._fill(triple, tags, family, component, conjugates)
 
 
 # the tags of a row by bit mask: base 1, r-family 2, isolated 4, frontier-limited 8
@@ -269,6 +265,7 @@ def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classific
 
     The pass is `_classify_rows`, over int rows; the objects are built here, for library callers.
     """
+    from fractions import Fraction  # on call: the CLI writes the conjugates from ints
     rows = _solution_rows(s, bound, budget)
     records, joined = _classify_rows(s, bound, rows)
     nlow = bisect_left(rows, (s,))

@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, takewhile
 from math import gcd
+from operator import attrgetter
+from reprlib import recursive_repr
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _chain_values, _recurrence, _terms, family_multiplier
@@ -43,6 +43,8 @@ COMPONENT_NAMES = ("a", "b", "c")
 # lines per chunk of every streamed writer; 1024 used less RSS, but the next operations ran ~2% slower
 _CHUNK_LINES = 4096
 
+_set = object.__setattr__  # how a record's __init__ writes a field past the refusing __setattr__
+
 
 def _chunked(items, fmt, sep: str = ""):
     """fmt(batch) for each batch of up to _CHUNK_LINES `items`, and `sep` as a piece of its own
@@ -64,18 +66,65 @@ def cayley_value(s: int, x: int, y: int, z: int) -> int:
     return s * (x * x + y * y + z * z) - s * s * s - 2 * x * y * z
 
 
-@dataclass(frozen=True)
-class Triple:
+class _Record:
+    """What `dataclass(frozen=True)` made of a value type, on the fields its `__slots__` names in
+    order: read-only fields, equality and hash by class and fields, its repr, positional `match`,
+    and pickling and copying through the constructor.  `__init__` writes the fields with `_fill`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self))])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Triple(_Record):
     """A positive component triple attached to the surface parameter s.
 
     Components keep the order they were built with; canonical() sorts them
     ascending, which is the form used by graphs and search output.
     """
 
-    s: int
-    a: int
-    b: int
-    c: int
+    __slots__ = ("s", "a", "b", "c")
+
+    # `_fill` and the record's equality and hash, unrolled: Triples are built, hashed and compared in bulk
+    def __init__(self, s: int, a: int, b: int, c: int) -> None:
+        _set(self, "s", s)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.s, self.a, self.b, self.c) == (other.s, other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.a, self.b, self.c))
 
     def __post_init__(self) -> None:
         for name, v in (("s", self.s), ("a", self.a), ("b", self.b), ("c", self.c)):
@@ -134,6 +183,7 @@ def _row_moves(s: int, a: int, b: int, c: int):
 
 def conjugate_component(t: Triple, index: int) -> Fraction:
     """The other root of the surface read as a quadratic in the chosen component."""
+    from fractions import Fraction  # on call: no command builds one, and the import costs a cold start
     _require_solution(t)
     if index not in (0, 1, 2):
         raise ValueError(f"component index must be 0, 1 or 2, got {index}")
@@ -244,8 +294,7 @@ def euclid_index_path(n: int, m: int) -> list[tuple[int, int]]:
     return path
 
 
-@dataclass(frozen=True)
-class SolutionGraph:
+class SolutionGraph(_Record):
     """Bounded conjugation closure of one seed solution.
 
     vertices: canonical (ascending) component triples, sorted.
@@ -255,11 +304,10 @@ class SolutionGraph:
         whose triple would exceed the bound.
     """
 
-    s: int
-    bound: int
-    vertices: tuple[tuple[int, int, int], ...]
-    edges: tuple[tuple[int, int, int], ...]
-    frontier: tuple[int, ...]
+    __slots__ = ("s", "bound", "vertices", "edges", "frontier")
+
+    def __init__(self, s: int, bound: int, vertices: tuple, edges: tuple, frontier: tuple[int, ...]) -> None:
+        self._fill(s, bound, vertices, edges, frontier)
 
     def as_dict(self) -> dict:
         return {
@@ -363,7 +411,9 @@ def _component(seed: Triple, bound: int, budget: int | None):
     # the descent checks the seed first: a non-solution is refused before the bound is read
     *_, (low, p, high) = _descent(seed)
     start = tuple(sorted(seed.components))
-    if not isinstance(bound, int) or bound < start[2]:
+    if not isinstance(bound, int):
+        raise ValueError(f"bound must be an integer, got {bound}")
+    if bound < start[2]:
         raise ValueError("bound must cover the seed's maximal component")
     s = seed.s
     if low == s < p == high and 2 * p % s == 0:

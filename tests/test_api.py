@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -182,3 +184,107 @@ def test_overlap_report_is_a_mutable_unhashable_value():
         hash(report)
     same.matches_s_ge_2 = [1]
     assert report != same
+
+
+# One value of each of the five types, with its fields in order.
+RECORDS = [(value, fields) for value, _, _, _, fields in VALUE_TYPES] + [
+    (markov.OverlapReport({"max_entry": 1}, [], []), ("bounds", "matches_s_ge_2", "s1_coincidences"))
+]
+RECORD_IDS = ["Triple", "Classification", "SolutionGraph", "PellInstance", "OverlapReport"]
+
+
+def _by_position(value):
+    match value:
+        case triples.Triple(s, a, b, c):
+            return s, a, b, c
+        case search.Classification(triple, tags, family, component, conjugates):
+            return triple, tags, family, component, conjugates
+        case triples.SolutionGraph(s, bound, vertices, edges, frontier):
+            return s, bound, vertices, edges, frontier
+        case pell.PellInstance(d, rhs, form):
+            return d, rhs, form
+        case markov.OverlapReport(bounds, matches, coincidences):
+            return bounds, matches, coincidences
+
+
+@pytest.mark.parametrize("value, fields", RECORDS, ids=RECORD_IDS)
+def test_value_types_survive_pickle_and_copy(value, fields):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value and back is not value
+    assert copy.copy(value) == value
+    deep = copy.deepcopy(value)
+    assert deep == value
+    # a deep copy shares no mutable field with the original
+    for name in fields:
+        if isinstance(getattr(value, name), (list, dict)):
+            assert getattr(deep, name) is not getattr(value, name)
+
+
+@pytest.mark.parametrize("value, fields", RECORDS, ids=RECORD_IDS)
+def test_value_types_match_and_build_by_field_name(value, fields):
+    assert type(value).__match_args__ == fields
+    assert _by_position(value) == tuple(getattr(value, name) for name in fields)
+    assert type(value)(**{name: getattr(value, name) for name in fields}) == value
+    # the fields live in slots: no instance dict, and no field outside the declared ones
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value, fields", RECORDS[:4], ids=RECORD_IDS[:4])
+def test_frozen_value_types_refuse_deletes(value, fields):
+    before = copy.copy(value)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == before and _by_position(value) == _by_position(before)
+
+
+@pytest.mark.parametrize("cls, args", [(triples.Triple, (3, 3, 70, 70)), (pell.PellInstance, (3, 1))])
+def test_construction_and_copies_call_post_init(monkeypatch, cls, args):
+    # the CLI tests count the objects a command builds by patching __post_init__
+    built = []
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self) or post_init(self))
+    value = cls(*args)
+    copy.copy(value)
+    copy.deepcopy(value)
+    pickle.loads(pickle.dumps(value))
+    assert built == [value] * 4
+    # and so the checks run for keyword construction too
+    with pytest.raises(ValueError, match="^a must be a positive integer, got 0$"):
+        triples.Triple(s=1, a=0, b=1, c=1)
+    with pytest.raises(errors.DegeneratePellError):
+        pell.PellInstance(d=4, rhs=1)
+
+
+def test_overlap_report_as_dict_returns_fresh_containers():
+    report = markov.sequence_overlap_search(1, 2, 3)
+    first, second = report.as_dict(), report.as_dict()
+    assert first == second == {
+        "bounds": {"max_entry": 1, "max_block_len": 2, "max_terms": 3},
+        "matches_s_ge_2": [],
+        "s1_coincidences": [],
+    }
+    for name in ("bounds", "matches_s_ge_2", "s1_coincidences"):
+        assert first[name] is not getattr(report, name) and first[name] is not second[name]
+    first["matches_s_ge_2"].append(1)
+    first["bounds"]["max_entry"] = 9
+    assert report.matches_s_ge_2 == [] and report.bounds["max_entry"] == 1
+    # fields can be assigned and deleted, as on a plain class
+    report.s1_coincidences = [2]
+    assert report.as_dict()["s1_coincidences"] == [2]
+    del report.s1_coincidences
+    with pytest.raises(AttributeError):
+        report.s1_coincidences
+    # a report that holds itself prints as the dataclass printed it
+    report.s1_coincidences = [report]
+    assert repr(report).endswith("s1_coincidences=[...])")
+
+
+def test_pell_solution_is_a_named_pair():
+    sol = pell.PellSolution(2, 1)
+    assert sol == (2, 1) and sol.z == 2 and sol.a == 1 and repr(sol) == "PellSolution(z=2, a=1)"
+    assert pell.PellSolution(a=1, z=2) == sol and pickle.loads(pickle.dumps(sol)) == sol
+    assert pell.PellSolution._fields == ("z", "a")

@@ -752,7 +752,8 @@ def test_s1_solutions_match_generated_chain_set(s1_solutions_2000):
         (lambda: family_triple(2, 4.0, 3, 2), ValueError, "^b must be a positive integer, got 4.0$"),
         (lambda: euclid_index_path(2.0, 1), ValueError, r"^indices must be integers, got \(2.0, 1\)$"),
         (lambda: family_triple(2, 4, 3.0, 2), ValueError, "^sequence index must be non-negative, got 3.0$"),
-        (lambda: solution_graph(Triple(2, 2, 4, 4), 100.5), ValueError, "^bound must cover the seed's maximal component$"),
+        (lambda: solution_graph(Triple(2, 2, 4, 4), 3), ValueError, "^bound must cover the seed's maximal component$"),
+        (lambda: solution_graph(Triple(2, 2, 4, 4), 100.5), ValueError, "^bound must be an integer, got 100.5$"),
     ],
 )
 def test_triples_input_checks(call, error, message):

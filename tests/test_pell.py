@@ -452,6 +452,7 @@ def test_oracle_budget_refuses_before_factoring(monkeypatch, d, bound, trials):
         # a float is refused, not carried into a float result
         (lambda: pell_oracle(PellInstance(2, 1), 10.5), ValueError, "^bound must be >= 1, got 10.5$"),
         (lambda: pell_family_one(1, 3, 2.0), ValueError, "^sequence index must be non-negative, got 2.0$"),
+        (lambda: pl.pell_family_one_members(1, 3, 2.0), ValueError, "^count must be an integer, got 2.0$"),
     ],
 )
 def test_pell_input_checks(call, error, message):
