@@ -8,6 +8,7 @@ multiplies the solutions in one fundamental domain by the fundamental unit.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import islice
 from math import isqrt
@@ -98,6 +99,8 @@ def _family_one(s: int, y: int, count: int) -> tuple[PellInstance, list[PellSolu
     if not isinstance(count, int):
         raise ValueError(f"count must be an integer, got {count}")
     inst, mult = family_one_instance(s, y), family_multiplier(s, y)
+    if count > sys.maxsize:
+        raise ValueError(f"count must be at most {sys.maxsize}, got {count}")
     members = map(PellSolution, islice(_recurrence(mult, 1, s, y), 1, None), _recurrence(mult, 1, 1, mult))
     sols = list(islice(members, max(count, 0)))
     for sol in sols:

@@ -1,8 +1,12 @@
+import contextlib
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cayleycubic import enumerate_solutions
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.11
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +45,17 @@ def fraction_conjugate(s, comps, index):
     y, z = (comps[j] for j in range(3) if j != index)
     conj = Fraction(2 * y * z, s) - comps[index]
     return int(conj) if conj.denominator == 1 else None
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Let the test itself format and parse integers of any length."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)

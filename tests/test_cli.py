@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import json
 import os
@@ -25,22 +24,7 @@ from cayleycubic import (
     solution_graph,
 )
 from cayleycubic.cli import CORRECTION_NOTES, run
-
-HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.11
-
-
-@contextlib.contextmanager
-def unlimited_digits():
-    """Let the test itself format and parse integers of any length."""
-    if not HAS_DIGIT_LIMIT:
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
+from conftest import HAS_DIGIT_LIMIT, unlimited_digits
 
 
 def test_verify_solution(capsys):

@@ -357,6 +357,7 @@ def test_power_sequence_values():
     assert continuant_power_sequence((1, 1), (2,), 4) == [1, 2, 5, 13]
     assert continuant_power_sequence((1, 1), (), 3) == [0, 1, 3]
     assert continuant_power_sequence((2, 2), (1,), 5) == [1, 5, 29, 169, 985]
+    assert continuant_power_sequence((1, 1), (2,), 1) == [1]
 
 
 def test_power_sequence_recurrence():

@@ -453,6 +453,8 @@ def test_oracle_budget_refuses_before_factoring(monkeypatch, d, bound, trials):
         (lambda: pell_oracle(PellInstance(2, 1), 10.5), ValueError, "^bound must be >= 1, got 10.5$"),
         (lambda: pell_family_one(1, 3, 2.0), ValueError, "^sequence index must be non-negative, got 2.0$"),
         (lambda: pl.pell_family_one_members(1, 3, 2.0), ValueError, "^count must be an integer, got 2.0$"),
+        (lambda: pl.pell_family_one_members(1, 3, 10**20), ValueError, f"^count must be at most {sys.maxsize}, got {10**20}$"),
+        (lambda: pl.pell_family_one_members(1, 1, 10**20), DegeneratePellError, "^need y > s"),
     ],
 )
 def test_pell_input_checks(call, error, message):
