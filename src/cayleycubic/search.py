@@ -11,11 +11,12 @@ same signed square class (+- their squarefree part); a member paired with
 itself gives the diagonal row (b, b, c).  So one O(B) pass gives each x <= B
 its class, and only the pairs within the classes of the x <= sqrt(s(B + s)/2)
 are tried, instead of the B^2/2 pairs of the (a, b) grid.  Classification
-then connects the rows by conjugation moves and tags each one, in one pass
-over the sorted list (see `_classify_rows`); a base row is settled in closed
-form.  The pass and the writers work on int rows (a, b, c) and write text in
-chunks; `Triple`, `Fraction` and `Classification` objects are built only for
-library callers.
+checks each row but for the base run against the cubic, then connects the rows
+by conjugation moves and tags each one, in one pass over the sorted list (see
+`_classify_rows`).  A base row needs no check, by the a = s argument above, and
+is settled in closed form.  The pass and the writers work on int rows (a, b, c)
+and write text in chunks; `Triple`, `Fraction` and `Classification` objects are
+built only for library callers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import floordiv
 from . import triples
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _chain_values
-from .triples import Triple, _chunked, _conjugate_numerators, _Record, _row_moves, base_value, reduction_trace
+from .triples import Triple, _chunked, _conjugate_numerators, _Record, _row_moves, base_value, cayley_value, reduction_trace
 
 __all__ = [
     "Classification",
@@ -194,23 +195,20 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
     """The pass of `classify`: (tags, family, component) of each sorted row but for the base
     run, and joined, the component of each row index a move touched (any other is its own).
 
-    Row indices run over the sorted order with the base run in place.  Each row,
-    base rows included, is first checked to solve the cubic, exactly in integers.
-    A base row keeps no state: `_base_class` settles it, and its move's union
-    comes from the row it lands on, (p, p, 2p^2/s - s), whose move of c comes
-    back.  For the other rows the moves of `_row_moves` give the union/find edges
-    and both tags; a moved row (s, p, p) is at index nlow + p - s, any other is
-    found by bisection.  The move of c, the last and maximal component, is that
-    of `reduction_trace`: when it shrinks the row it lands on the reduction
-    parent, which is enumerated (positive, within the bound) and sorts earlier
-    (one component got smaller), so each row takes its parent's terminal base;
-    one without such a move is a terminal.  The family is then read off that
-    base's chain with the checks of `family_membership`, one table per base.
+    Row indices run over the sorted order with the base run in place.  Each row is
+    first checked to solve the cubic, exactly in integers; a base row needs none, as
+    at a = s the cubic reads s(b - c)^2 = 0.  A base row keeps no state: `_base_class`
+    settles it, and its move's union comes from the row it lands on, (p, p, 2p^2/s - s),
+    whose move of c comes back.  For the other rows the moves of `_row_moves` give the
+    union/find edges and both tags; a moved row (s, p, p) is at index nlow + p - s, any
+    other is found by bisection.  The move of c, the last and maximal component, is that
+    of `reduction_trace`: when it shrinks the row it lands on the reduction parent, which
+    is enumerated (positive, within the bound) and sorts earlier (one component got
+    smaller), so each row takes its parent's terminal base; one without such a move is a
+    terminal.  The family is then read off that base's chain with the checks of
+    `family_membership`, one table per base.
     """
-    sss, nlow, nbase = s * s * s, bisect_left(rows, (s,)), max(bound - s + 1, 0)
-    for p in range(s, bound + 1):
-        if value := s * (s * s + p * p + p * p) - sss - 2 * s * p * p:
-            raise NotASolutionError(f"(s={s}; {s},{p},{p}) is not a solution (value {value})")
+    nlow, nbase = bisect_left(rows, (s,)), max(bound - s + 1, 0)
     parent, chains, classes = {}, {}, []  # chains: {X_k: k} of each base p met off its terminal
 
     def find(i: int) -> int:
@@ -223,8 +221,7 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
         return _base_class(s, bound, j - nlow + s)[1] if nlow <= j < nlow + nbase else classes[j - (j >= nlow) * nbase][1]
 
     for i, (a, b, c) in enumerate(rows):
-        value = s * (a * a + b * b + c * c) - sss - 2 * a * b * c
-        if value:
+        if value := cayley_value(s, a, b, c):
             raise NotASolutionError(f"(s={s}; {a},{b},{c}) is not a solution (value {value})")
         i += (i >= nlow) * nbase
         isolated, frontier, up = True, False, None

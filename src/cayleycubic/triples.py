@@ -337,11 +337,13 @@ def _graph_chunks(s: int, bound: int, vertices, edges, frontier, text, dot: bool
     iterable of (i, j, k) in order; frontier: the sorted frontier indices.
     """
     if dot:
-        marks = dict.fromkeys(frontier, " [peripheries=2]")
+        marks = bytearray(len(vertices))  # one byte a vertex, 1 on the frontier
+        for i in frontier:
+            marks[i] = 1
         yield "graph cayley {\n"
         yield from _chunked(
-            enumerate(vertices),
-            lambda batch: "".join([f'  "{text[a]},{text[b]},{text[c]}"{marks.get(i, "")};\n' for i, (a, b, c) in batch]),
+            zip(vertices, marks),
+            lambda batch: "".join([f'  "{text[a]},{text[b]},{text[c]}"{" [peripheries=2]" * m};\n' for (a, b, c), m in batch]),
         )
         yield from _chunked(
             edges,
