@@ -14,16 +14,23 @@ are tried, instead of the B^2/2 pairs of the (a, b) grid.  Classification
 checks each row but for the base run against the cubic, then connects the rows
 by conjugation moves and tags each one, in one pass over the sorted list (see
 `_classify_rows`).  A base row needs no check, by the a = s argument above, and
-is settled in closed form.  The pass and the writers work on int rows (a, b, c)
-and write text in chunks; `Triple`, `Fraction` and `Classification` objects are
-built only for library callers.
+is settled in closed form; it is the least row of its component.  A move keeps
+two components, and a < s gives b < s (a < s < b makes the discriminant
+negative, b = s forces a = c = s), so rows with a >= s move only among
+themselves.  From one with a > s the moves of a and b raise the maximum
+(2bc/s - a > c), so its only other neighbour is where its move of c leads: its
+parent, which sorts earlier, when c shrinks.  A base row's one move leads to its
+child (p, p, 2p^2/s - s).  So the rows with a >= s form a forest with every base
+row a root, and only a box row (a < s) can join two trees.  The pass and the
+writers work on int rows and write text in chunks; `Triple`, `Fraction` and
+`Classification` objects are built only for library callers.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import chain, compress, count, cycle, repeat
+from itertools import chain, compress, cycle, repeat
 from math import gcd, isqrt
 from operator import floordiv
 
@@ -122,10 +129,9 @@ def _solution_rows(s: int, bound: int, budget: int | None) -> list[tuple[int, in
 def enumerate_solutions(s: int, bound: int, *, budget: int | None = None) -> list[Triple]:
     """All solutions with 1 <= a <= b <= c <= bound, canonical and sorted.
 
-    The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of
-    the grid: an upper bound on the pairs the square-class join tries.  If a
-    budget is given and the plan exceeds it, the call fails up front rather
-    than part-way.  The join runs in this process.
+    The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of the grid: an upper
+    bound on the pairs the square-class join tries.  If a budget is given and the plan exceeds
+    it, the call fails up front rather than part-way.
     """
     rows = _solution_rows(s, bound, budget)
     nlow = bisect_left(rows, (s,))
@@ -192,21 +198,19 @@ def _base_class(s: int, bound: int, p: int) -> tuple[tuple[str, ...], tuple[int,
 
 
 def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
-    """The pass of `classify`: (tags, family, component) of each sorted row but for the base
-    run, and joined, the component of each row index a move touched (any other is its own).
+    """The pass of `classify`: (tags, family, component) of each sorted row but for the base run.
 
-    Row indices run over the sorted order with the base run in place.  Each row is
-    first checked to solve the cubic, exactly in integers; a base row needs none, as
-    at a = s the cubic reads s(b - c)^2 = 0.  A base row keeps no state: `_base_class`
-    settles it, and its move's union comes from the row it lands on, (p, p, 2p^2/s - s),
-    whose move of c comes back.  For the other rows the moves of `_row_moves` give the
-    union/find edges and both tags; a moved row (s, p, p) is at index nlow + p - s, any
-    other is found by bisection.  The move of c, the last and maximal component, is that
-    of `reduction_trace`: when it shrinks the row it lands on the reduction parent, which
-    is enumerated (positive, within the bound) and sorts earlier (one component got
-    smaller), so each row takes its parent's terminal base; one without such a move is a
-    terminal.  The family is then read off that base's chain with the checks of
-    `family_membership`, one table per base.
+    Row indices run over the sorted order with the base run in place; a component is its
+    least index.  Each row is first checked to solve the cubic, exactly in integers; a base
+    row needs none, as at a = s the cubic reads s(b - c)^2 = 0.  A base row keeps no state:
+    `_base_class` settles it, and it is its component's root (the module docstring).  For
+    the other rows the moves of `_row_moves` give the union/find edges and both tags; a
+    moved row (s, p, p) is at index nlow + p - s, any other is found by bisection.  The
+    move of c, the last and maximal component, is that of `reduction_trace`: when it
+    shrinks the row it lands on the reduction parent, which is enumerated (positive,
+    within the bound) and sorts earlier (one component got smaller), so each row takes its
+    parent's terminal base; one without such a move is a terminal.  The family is then
+    read off that base's chain with the checks of `family_membership`, one table per base.
     """
     nlow, nbase = bisect_left(rows, (s,)), max(bound - s + 1, 0)
     parent, chains, classes = {}, {}, []  # chains: {X_k: k} of each base p met off its terminal
@@ -253,8 +257,7 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
                 chains[p] = {x: k for k, x in enumerate(_chain_values(s, p, bound))}
             fam = _chain_family(s, (a, b, c), p, chains[p])
         classes.append((_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3], fam, i))
-    joined = {i: find(i) for i in parent}
-    return [(t, f, joined.get(i, i)) for t, f, i in classes], joined
+    return [(t, f, find(i)) for t, f, i in classes]
 
 
 def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classification]:
@@ -264,9 +267,8 @@ def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classific
     """
     from fractions import Fraction  # on call: the CLI writes the conjugates from ints
     rows = _solution_rows(s, bound, budget)
-    records, joined = _classify_rows(s, bound, rows)
-    nlow = bisect_left(rows, (s,))
-    base = (((s, p, p), (*_base_class(s, bound, p), joined.get(i := nlow + p - s, i))) for p in range(s, bound + 1))
+    records, nlow = _classify_rows(s, bound, rows), bisect_left(rows, (s,))
+    base = (((s, p, p), (*_base_class(s, bound, p), nlow + p - s)) for p in range(s, bound + 1))
     return [
         Classification(Triple(s, *r), t, f, k, tuple(Fraction(n, s) for n in _conjugate_numerators(s, *r)))
         for r, (t, f, k) in chain(zip(rows[:nlow], records), base, zip(rows[nlow:], records[nlow:]))
@@ -289,10 +291,10 @@ _ROW_FORMATS = {
 _HEADERS = {(True, False): "s,a,b,c\r\n", (True, True): "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n"}
 
 
-def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: bool, joined: dict[int, int]) -> str:
+def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: bool) -> str:
     """The lines of the base rows (s, p, p), p in ps, each written from p in the format of
-    `_ROW_FORMATS[csv, classified]`: for `classify`, the tags and family of `_base_class`,
-    the component of row index p + off from `joined`, the conjugates (2p^2 - s^2)/s, p, p."""
+    `_ROW_FORMATS[csv, classified]`: for `classify`, the tags and family of `_base_class`, the
+    component p + off (a base row is its component's root), the conjugates (2p^2 - s^2)/s, p, p."""
     head = f"{s},{s}," if csv else f'{{"s": {s}, "triple": [{s}, '
     if not classified:
         return "".join([f"{head}{p},{p}\r\n" for p in ps] if csv else [f"{head}{p}, {p}]}}\n" for p in ps])
@@ -304,11 +306,11 @@ def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: b
         for p in seg[:s]:
             (tags, fam), g = _base_class(s, bound, p), gcd(2 * p * p - ss, s)
             kinds.append(("|".join(tags) if csv else _TAG_JSON[tags], fam is None, g, "" if g == s else f"/{s // g}"))
-        for p, (tags, nofam, g, den), i in zip(seg, cycle(kinds), count(seg.start + off)):
+        for p, (tags, nofam, g, den) in zip(seg, cycle(kinds)):
             x, q = f"{(2 * p * p - ss) // g}{den}", str(p)
             lines.append(
                 f"{head}{q},{q},{tags},{x},{q},{q}\r\n" if csv else f'{head}{q}, {q}], "tags": {tags}, "family": '
-                f'{"null" if nofam else f"[{q}, 0, 1]"}, "component": {joined.get(i, i)}, "conjugates": ["{x}", "{q}", "{q}"]}}\n'
+                f'{"null" if nofam else f"[{q}, 0, 1]"}, "component": {p + off}, "conjugates": ["{x}", "{q}", "{q}"]}}\n'
             )
     return "".join(lines)
 
@@ -324,22 +326,18 @@ def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool)
     """`search` or `classify` output in chunks of `_CHUNK_LINES` lines, in sorted order: the
     records of the rows below s, the base run from `_base_text`, the records of the rows
     above s.  Every check and the whole classify pass run in this call, before the first
-    chunk: a later row can still join two earlier components."""
+    chunk: a later box row (a < s) can still join two earlier components."""
     rows = _solution_rows(s, bound, budget)
     nlow, nbase, fmt = bisect_left(rows, (s,)), max(bound - s + 1, 0), _ROW_FORMATS[csv, classified]
-    if classified:
-        tagged, joined = _classify_rows(s, bound, rows)
-        # each conjugate n/s as str(Fraction(n, s)), reduced by one gcd
-        records = [
-            (s, *r, *rec, [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, *r)])
-            for r, rec in zip(rows, tagged)
-        ]
-    else:
-        records, joined = [(s, *r) for r in rows], {}
+    # each conjugate n/s as str(Fraction(n, s)), reduced by one gcd
+    records = [
+        (s, *r, *rec, [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, *r)])
+        for r, rec in zip(rows, _classify_rows(s, bound, rows))
+    ] if classified else [(s, *r) for r in rows]
     top, size = nlow + nbase, triples._CHUNK_LINES  # top: the row index past the base run
     return chain([_HEADERS[csv, classified]] if csv else [], (
         fmt(records[lo : min(lo + size, nlow)])
-        + _base_text(s, bound, range(max(lo, nlow) - nlow + s, min(lo + size, top) - nlow + s), nlow - s, csv, classified, joined)
+        + _base_text(s, bound, range(max(lo, nlow) - nlow + s, min(lo + size, top) - nlow + s), nlow - s, csv, classified)
         + fmt(records[max(lo, top) - nbase : max(lo + size - nbase, 0)])
         for lo in range(0, len(rows) + nbase, size)
     ))

@@ -11,7 +11,6 @@ where one is returned.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import accumulate, chain, compress, islice, takewhile
@@ -319,7 +318,7 @@ class SolutionGraph(_Record):
         }
 
     def _chunks(self, dot: bool):
-        """to_dot() or to_json() in pieces of _CHUNK_LINES vertices or edges."""
+        """to_dot() or to_json() in pieces of _CHUNK_LINES vertices, edges or frontier indices."""
         return _graph_chunks(self.s, self.bound, self.vertices, self.edges, self.frontier, _decimal_table(self.vertices), dot)
 
     def to_json(self) -> str:
@@ -331,10 +330,10 @@ class SolutionGraph(_Record):
 
 
 def _graph_chunks(s: int, bound: int, vertices, edges, frontier, text, dot: bool):
-    """The JSON or DOT text of a graph in pieces of _CHUNK_LINES vertices or edges: the one writer.
+    """The JSON or DOT text of a graph in pieces of _CHUNK_LINES vertices, edges or frontier indices.
 
-    vertices: a sequence of key triples, text[key] the decimal of a component; edges: an
-    iterable of (i, j, k) in order; frontier: the sorted frontier indices.
+    The one writer.  vertices: a sequence of key triples, text[key] the decimal of a component;
+    edges: an iterable of (i, j, k) in order; frontier: the sorted frontier indices.
     """
     if dot:
         marks = bytearray(len(vertices))  # one byte a vertex, 1 on the frontier
@@ -358,7 +357,9 @@ def _graph_chunks(s: int, bound: int, vertices, edges, frontier, text, dot: bool
     yield from _chunked(vertices, lambda batch: ", ".join([f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in batch]), ", ")
     yield '], "edges": ['
     yield from _chunked(edges, lambda batch: ", ".join([f"[{i}, {j}, {k}]" for i, j, k in batch]), ", ")
-    yield f'], "frontier": {json.dumps(frontier)}}}'
+    yield '], "frontier": ['
+    yield from _chunked(frontier, lambda batch: ", ".join(map(str, batch)), ", ")
+    yield "]}"
 
 
 def _totients(n: int) -> tuple[list[int], list[list[int]]]:

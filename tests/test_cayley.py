@@ -664,20 +664,22 @@ def test_writers_match_their_oracles(g):
 )
 def test_graph_writers_at_chunk_boundaries(monkeypatch, capsys, seed, bound):
     g = solution_graph(seed, bound)
-    v, e = len(g.vertices), len(g.edges)
+    v, e, f = len(g.vertices), len(g.edges), len(g.frontier)
     want_json, want_dot = json.dumps(g.as_dict()), dot_oracle(g)
     argv = ["graph", "--s", str(seed.s), "--seed", ",".join(map(str, seed.components)), "--bound", str(bound)]
-    for k in chunk_sizes(v, e):
+    for k in chunk_sizes(v, e, f):
         monkeypatch.setattr(triples, "_CHUNK_LINES", k)
+        # the head, '], "edges": [', '], "frontier": [' and the tail, around the vertex, edge
+        # and frontier chunks and their ", " pieces
+        json_pieces = 4 + chunk_pieces(v, k, True) + chunk_pieces(e, k, True) + chunk_pieces(f, k, True)
         chunks = list(g._chunks(dot=False))
-        # the head, "], edges": [" and the tail, around the vertex and edge chunks and their ", " pieces
-        assert len(chunks) == 3 + chunk_pieces(v, k, True) + chunk_pieces(e, k, True)
+        assert len(chunks) == json_pieces
         assert "".join(chunks) == g.to_json() == want_json
         chunks = list(g._chunks(dot=True))
         assert len(chunks) == 2 + chunk_pieces(v, k, False) + chunk_pieces(e, k, False)
         assert "".join(chunks) == g.to_dot() == want_dot
         # the kernel's chunks, which the CLI streams, break at the same places
-        for dot, want, pieces in ((False, want_json, 3 + chunk_pieces(v, k, True) + chunk_pieces(e, k, True)),
+        for dot, want, pieces in ((False, want_json, json_pieces),
                                   (True, want_dot, 2 + chunk_pieces(v, k, False) + chunk_pieces(e, k, False))):
             chunks = list(kernel_chunks(seed, bound, dot))
             assert len(chunks) == pieces
@@ -690,7 +692,9 @@ def test_graph_writers_at_chunk_boundaries(monkeypatch, capsys, seed, bound):
 
 def test_dot_writer_keeps_no_vertex_names(monkeypatch):
     # each vertex and edge line is built from the decimal table as its chunk is written,
-    # so draining the DOT text holds far less than a table of the vertex names would
+    # so draining the DOT text holds far less than a table of the vertex names would;
+    # the JSON text streams its frontier indices in chunks too, where one json.dumps
+    # of the 12 445 of them peaked near 1 MB on 3.10 and 3.11
     monkeypatch.setattr(triples, "_CHUNK_LINES", 256)
     g = solution_graph(Triple(1, 1, 2, 2), 10**200)
     assert len(g.vertices) == 18666
@@ -708,6 +712,8 @@ def test_dot_writer_keeps_no_vertex_names(monkeypatch):
     dot = traced_peak(lambda: sum(map(len, g._chunks(dot=True))))
     # on 3.10 to 3.13 the names take about 6.0 MB and the drain peaks near 0.6 MB, at a chunk of edge lines
     assert dot <= names // 4
+    # the JSON drain peaks near 0.28 MB on 3.10 to 3.13
+    assert traced_peak(lambda: sum(map(len, g._chunks(dot=False)))) <= names // 10
 
 
 def test_s1_ordering_invariant(s1_solutions_2000):

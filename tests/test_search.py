@@ -672,6 +672,45 @@ def test_classify_matches_reference_on_bases_and_ties(s, bound, shapes):
     assert set(shapes) <= comps
 
 
+def _shrinks_by_c(s, comps):
+    """Whether the move of c, the maximal component, lands on a smaller triple."""
+    cv = fraction_conjugate(s, comps, 2)
+    return cv is not None and 0 < cv < comps[2]
+
+
+@pytest.mark.parametrize("s", range(1, 41))
+def test_base_rows_are_the_roots_of_a_forest(s):
+    # the facts that let classify write each base row's component as its own index, on the
+    # reference pass's components; s - 1 and s are the bounds below and at the base run
+    for bound in sorted({max(s - 1, 1), s, s + 1, 3 * s, 400}):
+        rows = _reference_classify(s, bound)
+        assert classify(s, bound) == rows
+        members = {}
+        for i, r in enumerate(rows):
+            if r.triple.a == s:
+                assert r.component == i, (bound, r.triple)
+            members.setdefault(r.component, []).append((i, r.triple.components))
+        for k, group in members.items():
+            box = {comps[0] < s for _, comps in group}
+            # a move keeps two components, so no component mixes a < s with a >= s
+            assert len(box) == 1, (bound, group)
+            if box == {False}:
+                # a tree: one row has no parent by its move of c, and it is the least
+                assert [i for i, comps in group if not _shrinks_by_c(s, comps)] == [k], (bound, group)
+
+
+@pytest.mark.parametrize("bound", [13, 14, 40])
+def test_box_rows_join_two_descent_roots(bound):
+    # why the union-find stays: at s = 14 neither (2, 7, 13) nor (7, 11, 13) has a move of c
+    # that shrinks it, yet the move of a joins them; only box rows (a < s) can do this
+    assert not _shrinks_by_c(14, (2, 7, 13)) and not _shrinks_by_c(14, (7, 11, 13))
+    rows = classify(14, bound)
+    by = {r.triple.components: (i, r) for i, r in enumerate(rows)}
+    (i, low), (_, high) = by[(2, 7, 13)], by[(7, 11, 13)]
+    assert low.component == high.component == i
+    assert rows == _reference_classify(14, bound)
+
+
 def test_classify_runs_no_trace_and_no_membership(monkeypatch):
     calls = {"reduction_trace": 0, "family_membership": 0}
 
