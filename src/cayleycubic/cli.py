@@ -143,7 +143,7 @@ def _cmd_pell_one(args) -> int:
 
 
 def _cmd_pell_two(args) -> int:
-    inst, sols = pl._family_two(args.s, args.p, args.n, range(1, args.count + 1))
+    inst, sols = pl._family_two(args.s, args.p, args.n, range(1, pl._count(args.count) + 1))
     _emit_pell(args, inst, sols, "chain-family-two", convention={"difference_scale": "s/2"}, s=args.s, p=args.p, n=args.n)
     return 0
 

@@ -96,17 +96,22 @@ def _family_one(s: int, y: int, count: int) -> tuple[PellInstance, list[PellSolu
     """family_one_instance(s, y) and its members for n = 1..count, in one pass: the chain from
     index 1 beside its companion from index 0, both X[k+1] = (2y/s)*X[k] - X[k-1];
     the base and every member are checked."""
-    if not isinstance(count, int):
-        raise ValueError(f"count must be an integer, got {count}")
-    inst, mult = family_one_instance(s, y), family_multiplier(s, y)
-    if count > sys.maxsize:
-        raise ValueError(f"count must be at most {sys.maxsize}, got {count}")
+    inst, mult, count = family_one_instance(s, y), family_multiplier(s, y), _count(count)
     members = map(PellSolution, islice(_recurrence(mult, 1, s, y), 1, None), _recurrence(mult, 1, 1, mult))
     sols = list(islice(members, max(count, 0)))
     for sol in sols:
         if not inst.holds(*sol):
             raise InvariantError(f"chain solution {sol} fails {inst}")
     return inst, sols
+
+
+def _count(count: int) -> int:
+    """count, the number of a family's members, once it is an int of at most sys.maxsize."""
+    if not isinstance(count, int):
+        raise ValueError(f"count must be an integer, got {count}")
+    if count > sys.maxsize:
+        raise ValueError(f"count must be at most {sys.maxsize}, got {count}")
+    return count
 
 
 def family_two_instance(s: int, p: int, n: int) -> PellInstance:

@@ -8,7 +8,7 @@ from p alone, between the rows below s and those above it.  For every other
 pair a <= b, the quadratic in c has a rational root only when
 (a^2 - s^2)(b^2 - s^2) is a square, that is when both factors lie in the
 same signed square class (+- their squarefree part); a member paired with
-itself gives the diagonal row (b, b, c).  So one O(B) pass gives each x <= B
+itself gives the diagonal row (b, b, c).  At s >= 3, one O(B) pass gives each x <= B
 its class, and only the pairs within the classes of the x <= sqrt(s(B + s)/2)
 are tried, instead of the B^2/2 pairs of the (a, b) grid.  Classification
 checks each row but for the base run against the cubic, then connects the rows
@@ -24,13 +24,26 @@ child (p, p, 2p^2/s - s).  So the rows with a >= s form a forest with every base
 row a root, and only a box row (a < s) can join two trees.  The pass and the
 writers work on int rows and write text in chunks; `Triple`, `Fraction` and
 `Classification` objects are built only for library callers.
+
+At s in {1, 2} every move is integral (s | 2yz), and `_chain_rows` lists the rows from
+the chain bases.  A row with a > s moves c to (a^2 + b^2 - s^2)/c, in (0, b) (see
+`_enumerate_range`) and not below s (a < s gives b < s): it descends to a base row
+(s, p, p).  The chain X_k = s*T_k(p/s) of base p has 2X_m*X_n/s = X_{m+n} + X_{|m-n|},
+so the triples (X_i, X_j, X_{i+j}), 0 <= i <= j, are closed under moves (to (j, i+j),
+(i, i+j) and (|j-i|, min(i, j))); they hold (s, p, p) = (X_0, X_1, X_1), so the row too,
+with 1 <= i <= j and X_{i+j} <= B, hence X_2 = 2p^2/s - s <= B, p <= sqrt(s(B + s)/2).
+A base p = X_k (k >= 2) of a smaller q has the chain X_{kn} of q's, so only primitive
+bases, no such X_k, are walked.  No row comes twice: the X_k increase, and X_n^2 - s^2 =
+(p^2 - s^2)*W_{n-1}^2 (W the companion of `pell`) puts the rows of p in p's square class
+f, whose members x, at s^2 in {1, 4}, are those of the powers of the least solution of
+x^2 - f*y^2 = s^2 (Pell): one chain, of f's one primitive base.  The one box row: (1, 1, 2), at s = 2.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import chain, compress, cycle, repeat
+from itertools import chain, compress, cycle, filterfalse, repeat
 from math import gcd, isqrt
 from operator import floordiv
 
@@ -114,6 +127,17 @@ def _enumerate_range(s: int, bound: int) -> list[tuple[int, int, int]]:
     return rows
 
 
+def _chain_rows(s: int, bound: int) -> list[tuple[int, int, int]]:
+    """`_enumerate_range` at s in {1, 2}: the box row and the chain triples of each primitive
+    base p <= sqrt(s(B + s)/2) (see the module docstring); `taken` holds the X_k, k >= 2, walked."""
+    rows, taken = [(1, 1, 2)] if s == 2 and bound >= 2 else [], set()
+    for p in filterfalse(taken.__contains__, range(s + 1, isqrt(s * (bound + s) // 2) + 1)):
+        xs = _chain_values(s, p, bound)
+        taken.update(xs[2:])
+        rows += [(xs[i], xs[j], xs[i + j]) for j in range(1, len(xs)) for i in range(1, min(j, len(xs) - 1 - j) + 1)]
+    return rows
+
+
 def _solution_rows(s: int, bound: int, budget: int | None) -> list[tuple[int, int, int]]:
     """The rows of `enumerate_solutions` but for the base run, as sorted int tuples (a, b, c), after its checks."""
     if not isinstance(s, int) or s < 1:
@@ -123,15 +147,15 @@ def _solution_rows(s: int, bound: int, budget: int | None) -> list[tuple[int, in
     planned = bound * (bound + 1) // 2
     if budget is not None and planned > budget:
         raise BudgetExceededError(f"enumeration at bound {bound} needs {planned} quadratic solves, budget is {budget}")
-    return sorted(_enumerate_range(s, bound))
+    return sorted(_chain_rows(s, bound) if s <= 2 else _enumerate_range(s, bound))
 
 
 def enumerate_solutions(s: int, bound: int, *, budget: int | None = None) -> list[Triple]:
     """All solutions with 1 <= a <= b <= c <= bound, canonical and sorted.
 
     The plan is bound*(bound+1)/2 quadratic solves, one per (a, b) pair of the grid: an upper
-    bound on the pairs the square-class join tries.  If a budget is given and the plan exceeds
-    it, the call fails up front rather than part-way.
+    bound on the pairs the square-class join tries, or on the rows of the chain walk at s <= 2.
+    If a budget is given and the plan exceeds it, the call fails up front rather than part-way.
     """
     rows = _solution_rows(s, bound, budget)
     nlow = bisect_left(rows, (s,))
@@ -291,13 +315,23 @@ _ROW_FORMATS = {
 _HEADERS = {(True, False): "s,a,b,c\r\n", (True, True): "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n"}
 
 
-def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: bool) -> str:
+def _search_lines(s: int, ps, csv: bool) -> list[str]:
+    """The `search` lines of the base rows (s, p, p), p in ps: ints, or the decimal strings of ints."""
+    return [f"{s},{s},{p},{p}\r\n" for p in ps] if csv else [f'{{"s": {s}, "triple": [{s}, {p}, {p}]}}\n' for p in ps]
+
+
+def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: bool, tmpl: list[str] | None) -> str:
     """The lines of the base rows (s, p, p), p in ps, each written from p in the format of
     `_ROW_FORMATS[csv, classified]`: for `classify`, the tags and family of `_base_class`, the
-    component p + off (a base row is its component's root), the conjugates (2p^2 - s^2)/s, p, p."""
-    head = f"{s},{s}," if csv else f'{{"s": {s}, "triple": [{s}, '
+    component p + off (a base row is its component's root), the conjugates (2p^2 - s^2)/s, p, p.
+    For `search`, the p >= 10 go by blocks of 100 consecutive p, which share all but their
+    last two digits: tmpl is `_search_lines` of "@00" ... "@99", "@" for the digits of p // 100."""
     if not classified:
-        return "".join([f"{head}{p},{p}\r\n" for p in ps] if csv else [f"{head}{p}, {p}]}}\n" for p in ps])
+        lo = max(ps.start, 10)
+        blocks = ("".join(tmpl[max(lo - 100 * k, 0) : ps.stop - 100 * k]).replace("@", str(k) if k else "")
+                  for k in range(lo // 100, -(-ps.stop // 100)))
+        return "".join([*_search_lines(s, ps[: max(10 - ps.start, 0)], csv), *blocks])
+    head = f"{s},{s}," if csv else f'{{"s": {s}, "triple": [{s}, '
     ss, split, lines = s * s, isqrt(s * (bound + s) // 2), []
     # the tags, the family's presence and gcd(2p^2 - s^2, s) = gcd(2p^2, s) depend only on
     # p mod s and on p > split, past which a move of s (when s | 2p^2) leaves the bound
@@ -335,9 +369,10 @@ def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool)
         for r, rec in zip(rows, _classify_rows(s, bound, rows))
     ] if classified else [(s, *r) for r in rows]
     top, size = nlow + nbase, triples._CHUNK_LINES  # top: the row index past the base run
+    tmpl = None if classified else _search_lines(s, [f"@{j:02d}" for j in range(100)], csv)
     return chain([_HEADERS[csv, classified]] if csv else [], (
         fmt(records[lo : min(lo + size, nlow)])
-        + _base_text(s, bound, range(max(lo, nlow) - nlow + s, min(lo + size, top) - nlow + s), nlow - s, csv, classified)
+        + _base_text(s, bound, range(max(lo, nlow) - nlow + s, min(lo + size, top) - nlow + s), nlow - s, csv, classified, tmpl)
         + fmt(records[max(lo, top) - nbase : max(lo + size - nbase, 0)])
         for lo in range(0, len(rows) + nbase, size)
     ))

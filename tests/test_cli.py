@@ -531,6 +531,19 @@ def test_pell_two_count_below_one_prints_the_instance(count, capsys):
     assert capsys.readouterr().out == "\n"
 
 
+def test_pell_two_refuses_a_count_past_maxsize_before_any_term(capsys, monkeypatch):
+    # the members' indices would be expanded into one _terms call that never returns
+    from cayleycubic import pell
+
+    monkeypatch.setattr(pell, "_terms", lambda *args: 1 // 0)
+    with pytest.raises(SystemExit) as exc:
+        run(["pell-two", "--s", "1", "--p", "4", "--n", "2", "--count", str(10**20)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: count must be at most {sys.maxsize}, got {10**20}\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_pell_two_builds_one_instance_and_climbs_x_n_once(capsys, monkeypatch, fmt):
     # all members share the instance of X_n: it is built, and X_n climbed in the one _terms call
@@ -657,15 +670,15 @@ def test_interrupt_exits_1(capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    # the enumeration kernel under both enumerate_solutions and the CLI's row chunks
-    monkeypatch.setattr(search, "_enumerate_range", interrupted)
+    # the enumeration kernel of s = 1 under both enumerate_solutions and the CLI's row chunks
+    monkeypatch.setattr(search, "_chain_rows", interrupted)
     code = run(["search", "--s", "1", "--bound", "10"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: interrupted\n"
     # any other error propagates
-    monkeypatch.setattr(search, "_enumerate_range", lambda *args, **kwargs: 1 // 0)
+    monkeypatch.setattr(search, "_chain_rows", lambda *args, **kwargs: 1 // 0)
     with pytest.raises(ZeroDivisionError):
         run(["search", "--s", "1", "--bound", "10"])
 

@@ -90,6 +90,12 @@ GOLDEN = [
     ("classify --s 30 --bound 20000 --format csv", sha256, "90c949bb5ddfbb30609dcb69b45c9c9d9dc8054e307ebb70556591460bc590f4"),
     ("search --s 1000 --bound 5000 --format csv", sha256, "22b85ae4362470d456ab5621e56273e065f6f60e4e45d19d292c4ac1ed5b5789"),
     ("classify --s 1000 --bound 5000 --format jsonl", sha256, "ed1c979e63b492b4418fd8261ac02fc1325684d19e818d2c5b2d25f381631e83"),
+    # s = 1 and 2 enumerate from the primitive chain bases, and search writes the base run by
+    # blocks of 100 consecutive p: a million base lines in each format
+    ("search --s 2 --bound 20000 --format jsonl", sha256, "ba5d8c6713935ced7f380a9310a9f45b645f8e4de7fc6d490c4f52f724c82fe9"),
+    ("classify --s 2 --bound 20000 --format csv", sha256, "201ef7602272019b3e1ccd9e195a95400ca44520035fb60e63207ae247a7ccaa"),
+    ("search --s 1 --bound 10**6 --format csv", sha256, "e8dac004bc44047f92ec67513606eeb05d143f81b8d2a16ad6f812347a8bd612"),
+    ("search --s 2 --bound 10**6", sha256, "75dc48f23781c59bb07622c4c08580f3882d0f13b7f9c91f41e6628c157fe55c"),
     # the index-space graph writer at the benchmark's two shapes: (2, 4) JSON, 41 846 vertices
     ("--no-note-corrections graph --s 2 --seed 2,4,4 --bound 10**300", sha256,
      "003038fa0fe5bcec75fc1b237d87ef86a7cbd8e77395c332dff32ee1861e9b64"),
@@ -118,8 +124,9 @@ GOLDEN = [
      "f2880b17f2de9f58c69b3a2e1594dbb89615704b7715b75a5ff16884be355d9c"),
     ("pell-oracle --d 61 --rhs -52 --bound 200000 --format text", sha256, "710fac14aca077db1cb53a7a75031e7caf9a0e1f6fb3b89bfbce5f330c4e0d6a"),
     ("pell-oracle --d 128 --rhs 16 --bound 1000000 --format text", sha256, "d44754ffa536ac23ec61f5235048adce3fc81fb70f527095f1f0b1422cfdd2c7"),
-    # a count past sys.maxsize is refused with the module's own message
+    # a count past sys.maxsize is refused with the module's own message, before any member is read
     ("pell-one --s 1 --y 3 --count 10**20", STATUS, 2),
+    ("pell-two --s 1 --p 4 --n 2 --count 10**20", STATUS, 2),
     ("continuant --word WORD", sha256, lambda: head_recursion("full")),
     ("continuant --word WORD --drop-last", sha256, lambda: head_recursion("drop-last")),
     ("continuant --word WORD --interior", sha256, lambda: head_recursion("interior")),

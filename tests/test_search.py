@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -207,6 +208,50 @@ def test_enumerate_with_no_room_builds_no_core_table(monkeypatch):
     # 3*bound^2 < s^2: no solution fits, however large s is
     assert enumerate_solutions(70, 40) == []
     assert enumerate_solutions(10**9, 10) == []
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_chain_rows_match_the_join_at_every_bound_to_3000(s):
+    # the join's rows within a bound B are its rows within 3000 that have c <= B
+    join = sorted(sr._enumerate_range(s, 3000))
+    for bound in range(1, 3001):
+        assert sorted(sr._chain_rows(s, bound)) == [r for r in join if r[2] <= bound], bound
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_chain_rows_match_the_join_across_chain_values_and_the_last_base(s):
+    # X_2 = 2p^2/s - s of base p is the least bound whose walk reaches p (p = 17 = X_2 of
+    # base 3 at s = 1 is not primitive); each X_k is where a triple (X_i, X_j, X_k) enters
+    bounds = set()
+    for p in (3, 17, 200, 201):
+        xs = sr._chain_values(s, p, 130000)
+        bounds |= {x + d for x in xs[2:] for d in (-1, 0, 1)}
+        split = [isqrt(s * (x + s) // 2) for x in (xs[2] - 1, xs[2])]
+        assert split == [p - 1, p]
+    for bound in sorted(bounds):
+        assert sorted(sr._chain_rows(s, bound)) == sorted(sr._enumerate_range(s, bound)), bound
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_chain_rows_build_no_class_table(monkeypatch, capsys, s):
+    def no_table(*args):
+        raise RuntimeError("the class table or the join was built")
+
+    rows = sr._solution_rows(s, 20000, None)
+    monkeypatch.setattr(sr, "_squarefree_cores", no_table)
+    monkeypatch.setattr(sr, "_enumerate_range", no_table)
+    assert sr._solution_rows(s, 20000, None) == rows
+    assert len(classify(s, 2000)) == len(enumerate_solutions(s, 2000))
+    for cmd in ("search", "classify"):
+        assert run([cmd, "--s", str(s), "--bound", "20000"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        sr._solution_rows(s, 10**6, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # 828 rows at s = 1, 1 207 at s = 2; the join's class table took about 100 MB
 
 
 def _held_after(call):
@@ -624,6 +669,27 @@ def _assert_same_text(got, want):
     assert len(got) == len(want) and got == want
 
 
+def test_search_base_blocks_match_the_line_formula(monkeypatch):
+    # search writes the base lines of p >= 10 by blocks of 100 consecutive p; the base run
+    # starts (p = s) and ends (p = bound) on each side of 10, 100, 1000 and 10000, and chunks
+    # of 7 and 100 lines cut it at other places; each bound's rows are enumerated once
+    solution_rows = sr._solution_rows
+    for s in (1, 2, 9, 10, 11, 99, 100, 101, 1000):
+        for bound in (9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001):
+            rows = solution_rows(s, bound, None)
+            monkeypatch.setattr(sr, "_solution_rows", lambda *a, rows=list(rows): rows)
+            nlow = bisect_left(rows, (s,))
+            rows[nlow:nlow] = [(s, p, p) for p in range(s, bound + 1)]
+            csv_lines = ["s,a,b,c\r\n", *(f"{s},{a},{b},{c}\r\n" for a, b, c in rows)]
+            jsonl_lines = [f'{{"s": {s}, "triple": [{a}, {b}, {c}]}}\n' for a, b, c in rows]
+            for size in (7, 100):
+                monkeypatch.setattr(triples, "_CHUNK_LINES", size)
+                for csv_format, lines in ((True, csv_lines), (False, jsonl_lines)):
+                    got, want = "".join(sr._chunks(s, bound, None, csv_format, False)), "".join(lines)
+                    if got != want:  # the line diff only on a failure: it is the slow part
+                        _assert_same_text(got, want)
+
+
 def _assert_writers_match_oracles(sols, rows):
     _assert_same_text(sr.triples_to_csv(sols), _triples_csv_oracle(sols))
     _assert_same_text(sr.triples_to_jsonl(sols), _triples_jsonl_oracle(sols))
@@ -731,9 +797,10 @@ def test_classify_runs_no_trace_and_no_membership(monkeypatch):
 
 
 def test_classify_checks_every_triple_solves(monkeypatch, capsys):
-    # the non-solution enters below the row pass, so the library and the CLI both meet it
-    real = sr._enumerate_range
-    monkeypatch.setattr(sr, "_enumerate_range", lambda *a: real(*a) + [(60, 60, 61)])
+    # the non-solution enters below the row pass, so the library and the CLI both meet it;
+    # s = 1 enumerates from the chain bases
+    real = sr._chain_rows
+    monkeypatch.setattr(sr, "_chain_rows", lambda *a: real(*a) + [(60, 60, 61)])
     with pytest.raises(NotASolutionError, match=r"\(s=1; 60,60,61\) is not a solution \(value -428280\)"):
         classify(1, 61)
     for fmt in ("jsonl", "csv"):
@@ -753,8 +820,9 @@ def test_classify_checks_every_triple_solves(monkeypatch, capsys):
     ],
 )
 def test_classify_requires_every_moved_row_enumerated(monkeypatch, capsys, s, bound, dropped, mover):
-    real = sr._enumerate_range
-    monkeypatch.setattr(sr, "_enumerate_range", lambda *a: [r for r in real(*a) if r != dropped])
+    kernel = "_chain_rows" if s <= 2 else "_enumerate_range"  # the enumeration kernel of s
+    real = getattr(sr, kernel)
+    monkeypatch.setattr(sr, kernel, lambda *a: [r for r in real(*a) if r != dropped])
     message = f"the move of {mover} lands on {dropped}, which was not enumerated"
     with pytest.raises(InvariantError) as exc:
         classify(s, bound)
@@ -781,8 +849,10 @@ def test_classify_pass_keeps_no_component_list(s):
 
 def _patch_chain(monkeypatch, edit):
     """Make search read the chain at base (1, 2) through `edit`; bound 100
-    gives 1, 2, 7, 26, 97."""
-    real = sr._chain_values
+    gives 1, 2, 7, 26, 97.  The rows of s = 1 are enumerated first, from the
+    true chain, so that only the classify pass reads the edited one."""
+    real, rows = sr._chain_values, sr._chain_rows(1, 100)
+    monkeypatch.setattr(sr, "_chain_rows", lambda s, bound: list(rows))
 
     def patched(s, p, bound):
         xs = real(s, p, bound)
@@ -924,8 +994,8 @@ def test_cli_refusals_write_no_chunk(monkeypatch, capsys, cmd, fmt):
     assert captured.err == "error: enumeration at bound 100 needs 5050 quadratic solves, budget is 5049\n"
     if cmd == "classify":
         # the non-solution sorts last, past every chunk of good rows the pass has seen
-        real = sr._enumerate_range
-        monkeypatch.setattr(sr, "_enumerate_range", lambda *a: real(*a) + [(60, 60, 61)])
+        real = sr._chain_rows
+        monkeypatch.setattr(sr, "_chain_rows", lambda *a: real(*a) + [(60, 60, 61)])
         assert run([cmd, "--s", "1", "--bound", "61", "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
