@@ -456,8 +456,13 @@ def test_oracle_budget_refuses_before_factoring(monkeypatch, d, bound, trials):
         (lambda: pl.pell_family_one_members(1, 3, 10**20), ValueError, f"^count must be at most {sys.maxsize}, got {10**20}$"),
         (lambda: pl.pell_family_one_members(1, 1, 10**20), DegeneratePellError, "^need y > s"),
         # pell-two's members: the same checks
-        (lambda: pl._count(2.0), ValueError, "^count must be an integer, got 2.0$"),
-        (lambda: pl._count(sys.maxsize + 1), ValueError, f"^count must be at most {sys.maxsize}, got {sys.maxsize + 1}$"),
+        pytest.param(lambda: pl._count(2.0), ValueError, "^count must be an integer, got 2.0$", id="pell-two-count-float"),
+        pytest.param(
+            lambda: pl._count(sys.maxsize + 1),
+            ValueError,
+            f"^count must be at most {sys.maxsize}, got {sys.maxsize + 1}$",
+            id="pell-two-count-too-large",
+        ),
     ],
 )
 def test_pell_input_checks(call, error, message):
