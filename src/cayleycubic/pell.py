@@ -196,8 +196,8 @@ def pell_oracle(
     [sqrt|N|, sqrt|N|*eps).  Both coordinates grow with gamma there, so one scan
     of the bounded coordinate (X <= top = bound, or W <= top = g*bound) below its
     value at sqrt|N|*eps finds every gamma, and multiplying by eps while it stays
-    <= top gives the rest.  The direct scan of z = 1..bound runs instead, in
-    this process, when that scan would reach bound, or when
+    <= top gives the rest.  The direct scan of z = 1..bound runs instead when
+    that scan would reach bound, or when
     x1 > (top+1)*(isqrt(f)+1), where the expansion of sqrt(f) stops.  The plan
     is the number of values scanned: c + 1 seeds, or bound on the direct scan;
     BudgetExceededError, before either scan, when that exceeds `budget`, and

@@ -224,34 +224,30 @@ def _base_class(s: int, bound: int, p: int) -> tuple[tuple[str, ...], tuple[int,
 def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
     """The pass of `classify`: (tags, family, component) of each sorted row but for the base run.
 
-    Row indices run over the sorted order with the base run in place; a component is its
-    least index.  Each row is first checked to solve the cubic, exactly in integers; a base
-    row needs none, as at a = s the cubic reads s(b - c)^2 = 0.  A base row keeps no state:
-    `_base_class` settles it, and it is its component's root (the module docstring).  For
-    the other rows the moves of `_row_moves` give the union/find edges and both tags; a
-    moved row (s, p, p) is at index nlow + p - s, any other is found by bisection.  The
-    move of c, the last and maximal component, is that of `reduction_trace`: when it
-    shrinks the row it lands on the reduction parent, which is enumerated (positive,
-    within the bound) and sorts earlier (one component got smaller), so each row takes its
-    parent's terminal base; one without such a move is a terminal.  The family is then
-    read off that base's chain with the checks of `family_membership`, one table per base.
-    """
-    nlow, nbase = bisect_left(rows, (s,)), max(bound - s + 1, 0)
-    parent, chains, classes = {}, {}, []  # chains: {X_k: k} of each base p met off its terminal
+    The union-find and the (tags, family) table are keyed by the row itself: `rows` sorts in
+    output order, so a component's least row is its least index.  Only the roots are mapped to
+    indices, (s, p, p) to nlow + p - s and any other by bisection in `rows`, past the base run
+    when a > s.  Each row is first checked to solve the cubic, exactly in integers; a base row
+    needs none (at a = s the cubic reads s(b - c)^2 = 0) and keeps no state: `_base_class`
+    settles it, and it is its component's root (the module docstring).  For the other rows the
+    moves of `_row_moves` give the union/find edges and both tags; a moved row is a base row
+    only when it is (s, p, p), any other must be in `rows`.  The move of c, the last and maximal
+    component, is that of `reduction_trace`: when it shrinks the row it lands on the reduction
+    parent, enumerated (positive, within the bound) and sorting earlier (one component got
+    smaller); the row reads its family off the chain of its parent's terminal base with the
+    checks of `family_membership`.  A row without such a move is a terminal."""
+    table, parent, chains = dict.fromkeys(rows), {}, {}  # chains: {X_k: k} of each base p met off its terminal
 
-    def find(i: int) -> int:
-        while (up := parent.get(i, i)) != i:
-            parent[i] = parent.get(up, up)
-            i = parent[i]
-        return i
+    def find(r: tuple[int, int, int]) -> tuple[int, int, int]:
+        while (up := parent.get(r, r)) != r:
+            parent[r] = parent.get(up, up)
+            r = parent[r]
+        return r
 
-    def family(j: int) -> tuple[int, int, int] | None:  # of a row the pass has passed
-        return _base_class(s, bound, j - nlow + s)[1] if nlow <= j < nlow + nbase else classes[j - (j >= nlow) * nbase][1]
-
-    for i, (a, b, c) in enumerate(rows):
+    for row in rows:
+        a, b, c = row
         if value := cayley_value(s, a, b, c):
             raise NotASolutionError(f"(s={s}; {a},{b},{c}) is not a solution (value {value})")
-        i += (i >= nlow) * nbase
         isolated, frontier, up = True, False, None
         for k, cv, moved in _row_moves(s, a, b, c):
             # a fixed point moves onto the row itself: not isolated, but it joins nothing
@@ -259,29 +255,27 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             if cv > bound:
                 frontier = True
                 continue
-            if moved[0] == s and moved[1] == moved[2]:
-                j = nlow + moved[1] - s
-            elif (j := bisect_left(rows, moved)) < len(rows) and rows[j] == moved:
-                j += (j >= nlow) * nbase
-            else:
-                raise InvariantError(f"the move of {(a, b, c)} lands on {moved}, which was not enumerated")
-            ri, rj = find(i), find(j)
-            # the smaller root stays, so find(i) ends as the least index of i's component
+            if not (moved[0] == s and moved[1] == moved[2] or moved in table):
+                raise InvariantError(f"the move of {row} lands on {moved}, which was not enumerated")
+            ri, rj = find(row), find(moved)
+            # the smaller root stays, so find(row) ends as the least row of its component
             parent[max(ri, rj)] = min(ri, rj)
             if k == 2 and cv < c:
-                up = j
+                up = moved
         # base_value of a sorted row other than (s, p, p): (p, p, s) with p < s
         base = a if a == b and c == s else None
         if up is None:
             # a terminal (p, p, s), p < s, is its own base when s | 2p
             fam = None if base is None or 2 * base % s else (base, 0, 1)
-        elif (fam := family(up)) is not None:
+        elif (fam := _base_class(s, bound, up[1])[1] if up[0] == s else table[up][1]) is not None:
             p = fam[0]  # the parent's terminal base
             if p not in chains:
                 chains[p] = {x: k for k, x in enumerate(_chain_values(s, p, bound))}
-            fam = _chain_family(s, (a, b, c), p, chains[p])
-        classes.append((_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3], fam, i))
-    return [(t, f, find(i)) for t, f, i in classes]
+            fam = _chain_family(s, row, p, chains[p])
+        table[row] = (_TAG_SETS[(base is not None) | (fam is not None) << 1 | isolated << 2 | frontier << 3], fam)
+    nlow = bisect_left(rows, (s,))
+    return [(t, f, nlow + r[1] - s if (r := find(row))[0] == s else bisect_left(rows, r) + (r[0] > s) * (bound - s + 1))
+            for row, (t, f) in table.items()]
 
 
 def classify(s: int, bound: int, *, budget: int | None = None) -> list[Classification]:
@@ -315,22 +309,18 @@ _ROW_FORMATS = {
 _HEADERS = {(True, False): "s,a,b,c\r\n", (True, True): "s,a,b,c,tags,conj_a,conj_b,conj_c\r\n"}
 
 
-def _search_lines(s: int, ps, csv: bool) -> list[str]:
-    """The `search` lines of the base rows (s, p, p), p in ps: ints, or the decimal strings of ints."""
-    return [f"{s},{s},{p},{p}\r\n" for p in ps] if csv else [f'{{"s": {s}, "triple": [{s}, {p}, {p}]}}\n' for p in ps]
-
-
-def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: bool, tmpl: list[str] | None) -> str:
+def _base_text(s: int, bound: int, ps: range, off: int, csv: bool, classified: bool, tmpl: str | None) -> str:
     """The lines of the base rows (s, p, p), p in ps, each written from p in the format of
     `_ROW_FORMATS[csv, classified]`: for `classify`, the tags and family of `_base_class`, the
     component p + off (a base row is its component's root), the conjugates (2p^2 - s^2)/s, p, p.
     For `search`, the p >= 10 go by blocks of 100 consecutive p, which share all but their
-    last two digits: tmpl is `_search_lines` of "@00" ... "@99", "@" for the digits of p // 100."""
+    last two digits: tmpl is the text of (s, s, "@00", "@00") ... (s, s, "@99", "@99"), 100 lines
+    of one width w, "@" for the digits of p // 100."""
     if not classified:
-        lo = max(ps.start, 10)
-        blocks = ("".join(tmpl[max(lo - 100 * k, 0) : ps.stop - 100 * k]).replace("@", str(k) if k else "")
+        lo, w = max(ps.start, 10), len(tmpl) // 100
+        blocks = (tmpl[w * max(lo - 100 * k, 0) : w * (ps.stop - 100 * k)].replace("@", str(k) if k else "")
                   for k in range(lo // 100, -(-ps.stop // 100)))
-        return "".join([*_search_lines(s, ps[: max(10 - ps.start, 0)], csv), *blocks])
+        return "".join([_ROW_FORMATS[csv, False]([(s, s, p, p) for p in ps[: max(10 - ps.start, 0)]]), *blocks])
     head = f"{s},{s}," if csv else f'{{"s": {s}, "triple": [{s}, '
     ss, split, lines = s * s, isqrt(s * (bound + s) // 2), []
     # the tags, the family's presence and gcd(2p^2 - s^2, s) = gcd(2p^2, s) depend only on
@@ -369,7 +359,7 @@ def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool)
         for r, rec in zip(rows, _classify_rows(s, bound, rows))
     ] if classified else [(s, *r) for r in rows]
     top, size = nlow + nbase, triples._CHUNK_LINES  # top: the row index past the base run
-    tmpl = None if classified else _search_lines(s, [f"@{j:02d}" for j in range(100)], csv)
+    tmpl = None if classified else fmt([(s, s, f"@{j:02d}", f"@{j:02d}") for j in range(100)])
     return chain([_HEADERS[csv, classified]] if csv else [], (
         fmt(records[lo : min(lo + size, nlow)])
         + _base_text(s, bound, range(max(lo, nlow) - nlow + s, min(lo + size, top) - nlow + s), nlow - s, csv, classified, tmpl)

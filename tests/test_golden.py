@@ -75,7 +75,7 @@ GOLDEN = [
     # a value-space seed: 4 vertices, 2 of them on the frontier
     ("graph --s 10 --seed 11,17,25 --bound 300 --format dot", sha256, lambda: solution_graph(Triple(10, 11, 17, 25), 300).to_dot()),
     # search and classify rows, written in chunks from one pass over int rows; s = 12 and 30
-    # have many rows that are not base rows, each move's landing row found by bisection
+    # have many rows that are not base rows, each move's landing row looked up by the row itself
     ("classify --s 1 --bound 3000 --format jsonl", sha256, lambda: classifications_to_jsonl(classify(1, 3000))),
     ("classify --s 12 --bound 3000 --format csv", sha256, lambda: classifications_to_csv(classify(12, 3000))),
     ("classify --s 30 --bound 3000 --format jsonl", sha256, lambda: classifications_to_jsonl(classify(30, 3000))),
@@ -90,6 +90,9 @@ GOLDEN = [
     ("classify --s 30 --bound 20000 --format csv", sha256, "90c949bb5ddfbb30609dcb69b45c9c9d9dc8054e307ebb70556591460bc590f4"),
     ("search --s 1000 --bound 5000 --format csv", sha256, "22b85ae4362470d456ab5621e56273e065f6f60e4e45d19d292c4ac1ed5b5789"),
     ("classify --s 1000 --bound 5000 --format jsonl", sha256, "ed1c979e63b492b4418fd8261ac02fc1325684d19e818d2c5b2d25f381631e83"),
+    # neither box row (47, 96, 114) nor (72, 96, 124) has an earlier neighbour: the later
+    # (96, 114, 124) joins them, component 8, which only the union-find sees
+    ("classify --s 128 --bound 256 --format jsonl", sha256, "231bdafca425648f675c7fb33a2433a65d3619c145f9eb38494c67c96291275a"),
     # s = 1 and 2 enumerate from the primitive chain bases, and search writes the base run by
     # blocks of 100 consecutive p: a million base lines in each format
     ("search --s 2 --bound 20000 --format jsonl", sha256, "ba5d8c6713935ced7f380a9310a9f45b645f8e4de7fc6d490c4f52f724c82fe9"),

@@ -777,6 +777,26 @@ def test_box_rows_join_two_descent_roots(bound):
     assert rows == _reference_classify(14, bound)
 
 
+def test_box_rows_join_rows_with_no_earlier_neighbour():
+    # at s = 128 neither (47, 96, 114) nor (72, 96, 124) has a neighbour that sorts earlier;
+    # only the later (96, 114, 124) joins them, so a pass that gave each row the component
+    # of its first earlier neighbour would split them
+    joined = [(47, 96, 114), (72, 96, 124), (96, 114, 124)]
+    for t in joined[:2]:
+        assert all(moved > t for _, v, moved in sr._row_moves(128, *t) if v <= 124), t
+    rows = classify(128, 124)
+    by = {r.triple.components: r for r in rows}
+    assert [by[t].component for t in joined] == [8, 8, 8]
+    assert rows == _reference_classify(128, 124)
+
+
+@pytest.mark.parametrize("s", [176, 189, 207])
+def test_classify_matches_reference_where_a_later_box_row_joins(s):
+    # the next components, after s = 128, that only a later box row joins, at bound 2s + 2;
+    # s <= 40, the range of the property test, has none
+    assert classify(s, 2 * s + 2) == _reference_classify(s, 2 * s + 2)
+
+
 def test_classify_runs_no_trace_and_no_membership(monkeypatch):
     calls = {"reduction_trace": 0, "family_membership": 0}
 
@@ -815,7 +835,7 @@ def test_classify_checks_every_triple_solves(monkeypatch, capsys):
     [
         # the move of (2, 7, 26) lands inside the list, where (2, 2, 7) would sort
         (1, 30, (2, 2, 7), (2, 7, 26)),
-        # (9, 21, 43) is the last row: the move of (9, 11, 21) bisects past the end
+        # (9, 21, 43) is the last row: the move of (9, 11, 21) lands past the end of the list
         (7, 43, (9, 21, 43), (9, 11, 21)),
     ],
 )
@@ -829,6 +849,28 @@ def test_classify_requires_every_moved_row_enumerated(monkeypatch, capsys, s, bo
     assert str(exc.value) == message
     for fmt in ("jsonl", "csv"):
         assert run(["classify", "--s", str(s), "--bound", str(bound), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_classify_refuses_a_move_onto_a_row_at_a_s_off_the_base_run(monkeypatch, capsys):
+    # a row with a = s is a base row only when it is (s, p, p): a move onto (12, 30, 31),
+    # which is not one and was not enumerated, is refused, not taken for the base row of 30
+    real = sr._row_moves
+
+    def moves(s, a, b, c):
+        yield from real(s, a, b, c)
+        if (s, a, b, c) == (12, 13, 15, 20):
+            yield 2, 30, (12, 30, 31)
+
+    monkeypatch.setattr(sr, "_row_moves", moves)
+    message = "the move of (13, 15, 20) lands on (12, 30, 31), which was not enumerated"
+    with pytest.raises(InvariantError) as exc:
+        classify(12, 100)
+    assert str(exc.value) == message
+    for fmt in ("jsonl", "csv"):
+        assert run(["classify", "--s", "12", "--bound", "100", "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
