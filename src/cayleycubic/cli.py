@@ -116,7 +116,8 @@ def _cmd_family(args) -> int:
 def _cmd_graph(args) -> int:
     # every check runs here, before the first chunk: a refused graph writes nothing
     xs, vertices, edges, frontier = tr._component(tr.Triple(args.s, *args.seed), args.bound, _budget(args))
-    _stream(args, tr._graph_chunks(args.s, args.bound, vertices, edges, frontier, [str(x) for x in xs], args.format == "dot"))
+    text = [str(x) for x in xs]  # ascending: the last is the widest
+    _stream(args, tr._graph_chunks(args.s, args.bound, vertices, edges, frontier, text, args.format == "dot", len(text[-1])))
     return 0
 
 

@@ -10,7 +10,8 @@ chains possible at all.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import compress, count, islice, product
+from operator import eq, itemgetter
 
 from .errors import BudgetExceededError, InvariantError, NotASolutionError
 from .sequences import _recurrence
@@ -103,9 +104,10 @@ def _tree_rows(depth: int, budget: int | None, decimal: bool = True) -> list[tup
                 nxt.append((u, c, w, su, sc, str(w) if decimal else None, row))
         rows += nxt
         level = nxt
-    # distinct triples differ within (a, b, c), so the sort never compares further
+    # distinct triples differ within (a, b, c), so the sort compares no further; a repeat sits by its twin
     rows.sort()
-    repeats = sum(x[2] == y[2] and x[:3] == y[:3] for x, y in zip(rows, rows[1:]))
+    cs = list(map(itemgetter(2), rows))
+    repeats = sum(rows[i][:3] == rows[i + 1][:3] for i in compress(count(), map(eq, cs, cs[1:])))
     if len(rows) != planned or repeats:
         raise InvariantError(
             f"the tree of depth {depth} reached {len(rows)} triples, {repeats} repeated, not {planned}"
@@ -127,18 +129,20 @@ def markov_tree(depth: int, budget: int | None = None) -> list[MarkovTriple]:
 def _tree_chunks(depth: int, budget: int | None, dot: bool):
     """markov_tree_dot() or markov_tree_json() in the chunks of `_chunked`; checks run before the first."""
     rows = _tree_rows(depth, budget)
+    # the last row holds the tree's largest number (README): a line has at most three such decimals, an edge six
+    width = 3 * len(rows[-1][5])
     if dot:
         yield "digraph markov {\n"
-        yield from _chunked(rows, lambda batch: "".join([f'  "{r[3]},{r[4]},{r[5]}";\n' for r in batch]))
+        yield from _chunked(rows, lambda batch: "".join([f'  "{r[3]},{r[4]},{r[5]}";\n' for r in batch]), width=width)
         # (1, 1, 1), the least triple, is the only one without a parent
         yield from _chunked(
             islice(rows, 1, None),
             lambda batch: "".join([f'  "{p[3]},{p[4]},{p[5]}" -> "{x},{y},{z}";\n' for _, _, _, x, y, z, p in batch]),
-        )
+            width=2 * width)
         yield "}\n"
         return
     yield f'{{"depth": {depth}, "triples": ['
-    yield from _chunked(rows, lambda batch: ", ".join([f"[{r[3]}, {r[4]}, {r[5]}]" for r in batch]), ", ")
+    yield from _chunked(rows, lambda batch: ", ".join([f"[{r[3]}, {r[4]}, {r[5]}]" for r in batch]), ", ", width)
     yield "]}"
 
 

@@ -258,8 +258,8 @@ def _classify_rows(s: int, bound: int, rows: list[tuple[int, int, int]]):
             if not (moved[0] == s and moved[1] == moved[2] or moved in table):
                 raise InvariantError(f"the move of {row} lands on {moved}, which was not enumerated")
             ri, rj = find(row), find(moved)
-            # the smaller root stays, so find(row) ends as the least row of its component
-            parent[max(ri, rj)] = min(ri, rj)
+            if ri != rj:  # the smaller root stays, so find(row) ends as the least row of its component
+                parent[max(ri, rj)] = min(ri, rj)
             if k == 2 and cv < c:
                 up = moved
         # base_value of a sorted row other than (s, p, p): (p, p, s) with p < s

@@ -39,20 +39,21 @@ __all__ = [
 
 COMPONENT_NAMES = ("a", "b", "c")
 
-# lines per chunk of every streamed writer; 1024 used less RSS, but the next operations ran ~2% slower
-_CHUNK_LINES = 4096
+# lines and characters per chunk of a streamed writer (`_chunked`); 1024 narrow lines a chunk ran ~2% slower
+_CHUNK_LINES, _CHUNK_CHARS = 4096, 1 << 20
 
 _set = object.__setattr__  # how a record's __init__ writes a field past the refusing __setattr__
 
 
-def _chunked(items, fmt, sep: str = ""):
-    """fmt(batch) for each batch of up to _CHUNK_LINES `items`, and `sep` as a piece of its own
-    between two chunks, so no chunk is copied; no chunk is kept once it is yielded."""
+def _chunked(items, fmt, sep: str = "", width: int = 1):
+    """fmt(batch) for each batch of min(_CHUNK_LINES, max(16, _CHUNK_CHARS // width)) `items`, width bounding the
+    digits of a line, and `sep` as a piece of its own between two chunks, so no chunk is copied or kept once yielded."""
+    size = min(_CHUNK_LINES, max(16, _CHUNK_CHARS // width))
     items = iter(items)
     for k, first in enumerate(items):
         if k and sep:
             yield sep
-        yield fmt(chain((first,), islice(items, _CHUNK_LINES - 1)))
+        yield fmt(chain((first,), islice(items, size - 1)))
 
 
 def _decimal_table(triples) -> dict[int, str]:
@@ -318,8 +319,10 @@ class SolutionGraph(_Record):
         }
 
     def _chunks(self, dot: bool):
-        """to_dot() or to_json() in pieces of _CHUNK_LINES vertices, edges or frontier indices."""
-        return _graph_chunks(self.s, self.bound, self.vertices, self.edges, self.frontier, _decimal_table(self.vertices), dot)
+        """to_dot() or to_json() in the pieces of `_graph_chunks`."""
+        text = _decimal_table(self.vertices)
+        digits = max(map(len, text.values()), default=1)
+        return _graph_chunks(self.s, self.bound, self.vertices, self.edges, self.frontier, text, dot, digits)
 
     def to_json(self) -> str:
         """json.dumps(self.as_dict()), formatting each distinct component once."""
@@ -329,11 +332,12 @@ class SolutionGraph(_Record):
         return "".join(self._chunks(dot=True))
 
 
-def _graph_chunks(s: int, bound: int, vertices, edges, frontier, text, dot: bool):
-    """The JSON or DOT text of a graph in pieces of _CHUNK_LINES vertices, edges or frontier indices.
+def _graph_chunks(s: int, bound: int, vertices, edges, frontier, text, dot: bool, digits: int):
+    """The JSON or DOT text of a graph in the chunks of `_chunked`, of vertices, edges or frontier indices.
 
-    The one writer.  vertices: a sequence of key triples, text[key] the decimal of a component;
-    edges: an iterable of (i, j, k) in order; frontier: the sorted frontier indices.
+    The one writer.  vertices: a sequence of key triples, text[key] the decimal of a component, of at most
+    `digits` digits, three to a vertex line and six to a DOT edge line; edges: an iterable of (i, j, k) in
+    order; frontier: the sorted frontier indices.
     """
     if dot:
         marks = bytearray(len(vertices))  # one byte a vertex, 1 on the frontier
@@ -343,18 +347,19 @@ def _graph_chunks(s: int, bound: int, vertices, edges, frontier, text, dot: bool
         yield from _chunked(
             zip(vertices, marks),
             lambda batch: "".join([f'  "{text[a]},{text[b]},{text[c]}"{" [peripheries=2]" * m};\n' for (a, b, c), m in batch]),
-        )
+            width=3 * digits)
         yield from _chunked(
             edges,
             lambda batch: "".join([
                 f'  "{text[a]},{text[b]},{text[c]}" -- "{text[x]},{text[y]},{text[z]}" [label="{COMPONENT_NAMES[k]}"];\n'
                 for i, j, k in batch for (a, b, c), (x, y, z) in [(vertices[i], vertices[j])]
             ]),
-        )
+            width=6 * digits)
         yield "}\n"
         return
     yield f'{{"s": {s}, "bound": {bound}, "vertices": ['
-    yield from _chunked(vertices, lambda batch: ", ".join([f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in batch]), ", ")
+    yield from _chunked(
+        vertices, lambda batch: ", ".join([f"[{text[a]}, {text[b]}, {text[c]}]" for a, b, c in batch]), ", ", 3 * digits)
     yield '], "edges": ['
     yield from _chunked(edges, lambda batch: ", ".join([f"[{i}, {j}, {k}]" for i, j, k in batch]), ", ")
     yield '], "frontier": ['

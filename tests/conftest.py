@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayleycubic import enumerate_solutions
+from cayleycubic import enumerate_solutions, triples
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.11
 
@@ -37,6 +37,17 @@ def chunk_pieces(n, k, sep):
     chunks, and with a separator one more piece between each two."""
     chunks = -(-n // k)
     return chunks + (max(chunks - 1, 0) if sep else 0)
+
+
+def chunk_lines(width):
+    """The items `triples._chunked` puts in each chunk of lines of up to `width` digits, at the
+    `_CHUNK_LINES` and `_CHUNK_CHARS` in force: min(_CHUNK_LINES, max(16, _CHUNK_CHARS // width))."""
+    return min(triples._CHUNK_LINES, max(16, triples._CHUNK_CHARS // width))
+
+
+def run_lengths(n, k):
+    """The item counts of the chunks of n items, k to a chunk: k each, and the rest in the last."""
+    return [min(k, n - i) for i in range(0, n, k)]
 
 
 def fraction_conjugate(s, comps, index):

@@ -31,7 +31,7 @@ from cayleycubic import (
 from cayleycubic import triples
 from cayleycubic.cli import run
 from cayleycubic.triples import _conjugate
-from conftest import chunk_pieces, chunk_sizes, fraction_conjugate
+from conftest import chunk_lines, chunk_pieces, chunk_sizes, fraction_conjugate, run_lengths
 
 
 def conjugate_roots(s, y, z):
@@ -445,7 +445,8 @@ def dot_oracle(g):
 def kernel_chunks(seed, bound, dot):
     """What the CLI streams: the component kernel through the one writer, with the per-index decimals."""
     xs, vertices, edges, frontier = triples._component(seed, bound, None)
-    return triples._graph_chunks(seed.s, bound, vertices, edges, frontier, [str(x) for x in xs], dot)
+    text = [str(x) for x in xs]
+    return triples._graph_chunks(seed.s, bound, vertices, edges, frontier, text, dot, len(text[-1]))
 
 
 def assert_matches_oracle(seed, bound):
@@ -667,20 +668,23 @@ def test_graph_writers_at_chunk_boundaries(monkeypatch, capsys, seed, bound):
     v, e, f = len(g.vertices), len(g.edges), len(g.frontier)
     want_json, want_dot = json.dumps(g.as_dict()), dot_oracle(g)
     argv = ["graph", "--s", str(seed.s), "--seed", ",".join(map(str, seed.components)), "--bound", str(bound)]
+    # a vertex line carries three decimals of at most the largest value's width, a DOT edge line six
+    width = 3 * len(str(max(map(max, g.vertices))))
     for k in chunk_sizes(v, e, f):
         monkeypatch.setattr(triples, "_CHUNK_LINES", k)
+        lines, edge_lines = chunk_lines(width), chunk_lines(2 * width)
         # the head, '], "edges": [', '], "frontier": [' and the tail, around the vertex, edge
-        # and frontier chunks and their ", " pieces
-        json_pieces = 4 + chunk_pieces(v, k, True) + chunk_pieces(e, k, True) + chunk_pieces(f, k, True)
+        # and frontier chunks and their ", " pieces; JSON edges and frontier indices are narrow
+        json_pieces = 4 + chunk_pieces(v, lines, True) + chunk_pieces(e, k, True) + chunk_pieces(f, k, True)
+        dot_pieces = 2 + chunk_pieces(v, lines, False) + chunk_pieces(e, edge_lines, False)
         chunks = list(g._chunks(dot=False))
         assert len(chunks) == json_pieces
         assert "".join(chunks) == g.to_json() == want_json
         chunks = list(g._chunks(dot=True))
-        assert len(chunks) == 2 + chunk_pieces(v, k, False) + chunk_pieces(e, k, False)
+        assert len(chunks) == dot_pieces
         assert "".join(chunks) == g.to_dot() == want_dot
         # the kernel's chunks, which the CLI streams, break at the same places
-        for dot, want, pieces in ((False, want_json, json_pieces),
-                                  (True, want_dot, 2 + chunk_pieces(v, k, False) + chunk_pieces(e, k, False))):
+        for dot, want, pieces in ((False, want_json, json_pieces), (True, want_dot, dot_pieces)):
             chunks = list(kernel_chunks(seed, bound, dot))
             assert len(chunks) == pieces
             assert "".join(chunks) == want
@@ -688,6 +692,33 @@ def test_graph_writers_at_chunk_boundaries(monkeypatch, capsys, seed, bound):
         assert capsys.readouterr().out == want_json + "\n"
         assert run(argv + ["--format", "dot"]) == 0
         assert capsys.readouterr().out == want_dot
+
+
+@pytest.mark.parametrize("seed, bound", [(Triple(1, 1, 2, 2), 10**20), (Triple(7, 8, 17, 28), 10**30)])
+def test_graph_wide_lines_cut_by_size(monkeypatch, capsys, seed, bound):
+    # a character budget of 20 widest vertex lines: the vertices split every 20 lines, long
+    # before _CHUNK_LINES, the DOT edge lines, six decimals each, every 16, the floor, and the
+    # narrow JSON edges and frontier indices still every _CHUNK_LINES, here in one chunk each
+    g = solution_graph(seed, bound)
+    v, e, f = len(g.vertices), len(g.edges), len(g.frontier)
+    assert 20 < v and 16 < e and max(v, e, f) < triples._CHUNK_LINES
+    width = 3 * len(str(max(map(max, g.vertices))))
+    monkeypatch.setattr(triples, "_CHUNK_CHARS", 20 * width)
+    assert (chunk_lines(width), chunk_lines(2 * width)) == (20, 16)
+    want_json, want_dot = json.dumps(g.as_dict()), dot_oracle(g)
+    for chunks in (list(g._chunks(dot=False)), list(kernel_chunks(seed, bound, False))):
+        # the vertex chunks and their ", " pieces, then '], "edges": [', the edges, '], "frontier": [' ...
+        assert [c.count("[") for c in chunks[1 : 2 * len(run_lengths(v, 20)) : 2]] == run_lengths(v, 20)
+        assert len(chunks) == 4 + chunk_pieces(v, 20, True) + (e > 0) + (f > 0)
+        assert "".join(chunks) == want_json
+    for chunks in (list(g._chunks(dot=True)), list(kernel_chunks(seed, bound, True))):
+        assert [c.count("\n") for c in chunks[1:-1]] == run_lengths(v, 20) + run_lengths(e, 16)
+        assert "".join(chunks) == want_dot
+    argv = ["graph", "--s", str(seed.s), "--seed", ",".join(map(str, seed.components)), "--bound", str(bound)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want_json + "\n"
+    assert run(argv + ["--format", "dot"]) == 0
+    assert capsys.readouterr().out == want_dot
 
 
 def test_dot_writer_keeps_no_vertex_names(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +27,7 @@ from cayleycubic import (
 from cayleycubic import markov as mk
 from cayleycubic import triples
 from cayleycubic.cli import run
-from conftest import chunk_pieces, chunk_sizes
+from conftest import chunk_lines, chunk_pieces, chunk_sizes, run_lengths
 
 
 def drop_last_or_zero(word):
@@ -183,19 +184,90 @@ def test_markov_tree_writers_at_chunk_boundaries(monkeypatch, capsys, depth):
     n = len(seen)
     want_json = json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
     want_dot = reference_tree_dot(seen, parents)
+    # a line carries at most three decimals of the tree's largest number, an edge line six
+    width = 3 * len(str(max(map(max, seen))))
     for k in chunk_sizes(n, n - 1):
         monkeypatch.setattr(triples, "_CHUNK_LINES", k)
+        lines, edge_lines = chunk_lines(width), chunk_lines(2 * width)
         chunks = list(mk._tree_chunks(depth, None, dot=False))
-        assert len(chunks) == 2 + chunk_pieces(n, k, True)
+        assert len(chunks) == 2 + chunk_pieces(n, lines, True)
         assert "".join(chunks) == markov_tree_json(depth) == want_json
         # n triples, then the n - 1 edges: every triple but (1, 1, 1) has a parent
         chunks = list(mk._tree_chunks(depth, None, dot=True))
-        assert len(chunks) == 2 + chunk_pieces(n, k, False) + chunk_pieces(n - 1, k, False)
+        assert len(chunks) == 2 + chunk_pieces(n, lines, False) + chunk_pieces(n - 1, edge_lines, False)
         assert "".join(chunks) == markov_tree_dot(depth) == want_dot
         assert run(["markov-tree", "--depth", str(depth)]) == 0
         assert capsys.readouterr().out == want_json + "\n"
         assert run(["markov-tree", "--depth", str(depth), "--format", "dot"]) == 0
         assert capsys.readouterr().out == want_dot
+
+
+@pytest.mark.parametrize("depth", [6, 9])
+def test_markov_tree_wide_lines_cut_by_size(monkeypatch, capsys, depth):
+    # a character budget of 20 widest triples: the triples split every 20 lines, long before
+    # _CHUNK_LINES, and the edge lines, two triples each, every 16, the floor
+    seen, parents = neighbor_bfs_levels(depth)
+    n = len(seen)
+    width = 3 * len(str(max(map(max, seen))))
+    monkeypatch.setattr(triples, "_CHUNK_CHARS", 20 * width)
+    assert (chunk_lines(width), chunk_lines(2 * width)) == (20, 16)
+    want_json = json.dumps({"depth": depth, "triples": [list(t) for t in sorted(seen)]})
+    want_dot = reference_tree_dot(seen, parents)
+    chunks = list(mk._tree_chunks(depth, None, dot=False))
+    # the head, the tail, and each ", " piece between two chunks
+    assert [c.count("[") for c in chunks[1:-1:2]] == run_lengths(n, 20)
+    assert "".join(chunks) == want_json
+    chunks = list(mk._tree_chunks(depth, None, dot=True))
+    assert [c.count("\n") for c in chunks[1:-1]] == run_lengths(n, 20) + run_lengths(n - 1, 16)
+    assert "".join(chunks) == want_dot
+    assert run(["markov-tree", "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out == want_json + "\n"
+    assert run(["markov-tree", "--depth", str(depth), "--format", "dot"]) == 0
+    assert capsys.readouterr().out == want_dot
+
+
+def test_markov_tree_drain_holds_about_two_chunks_over_its_rows():
+    # a chunk holds about _CHUNK_CHARS digits, alive at most twice, as its lines and joined; at
+    # 4096 lines a chunk, depth 14 drained 4.4 MB (DOT) and 2.7 MB (JSON) over its rows
+    tracemalloc.start()
+    try:
+        rows = mk._tree_rows(14, None)
+        held = tracemalloc.get_traced_memory()[0]  # 2.8 MB on 3.11
+        del rows
+        for dot in (True, False):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert sum(map(len, mk._tree_chunks(14, None, dot=dot))) > 0
+            # on 3.11 both drains peak about 0.7 MB over the rows
+            assert tracemalloc.get_traced_memory()[1] - start - held <= 2 * triples._CHUNK_CHARS
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "where, copies, reached, repeated",
+    [
+        (slice(5, 6), 1, 9, 1),  # (2, 5, 29) overwritten by (1, 13, 34)
+        (slice(5, 5), 1, 10, 1),  # (1, 13, 34) added a second time
+        (slice(5, 8), 3, 9, 3),  # three rows overwritten by (1, 13, 34)
+    ],
+    ids=["overwrite-one", "insert-one", "overwrite-three"],
+)
+def test_markov_tree_raises_on_a_repeated_row(monkeypatch, where, copies, reached, repeated):
+    # every move is checked against the equation, so no move can repeat a triple: the repeat is
+    # injected as `_tree_rows` sorts its row list, which it builds with the module's name `list`
+    class Twinned(list):
+        def sort(self):
+            super().sort()
+            self[where] = [self[4]] * copies
+
+    monkeypatch.setattr(mk, "list", Twinned, raising=False)
+    message = f"the tree of depth 4 reached {reached} triples, {repeated} repeated, not 9"
+    for build in (markov_tree, markov_tree_json, markov_tree_dot):
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            build(4)
+    monkeypatch.undo()
+    assert len(markov_tree(4)) == 9
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.11")
