@@ -6,6 +6,10 @@ Continuants (numerators of finite continued fractions) encode its vertices;
 the same drop-last continuants of repeated words obey a two-term recurrence,
 which is what makes a term-by-term comparison with the scaled Chebyshev
 chains possible at all.
+
+Both surfaces are levels of kappa = X^2 + Y^2 + Z^2 - XYZ - 2, tr[A, B] at X = tr A, Y = tr B,
+Z = tr AB: Markov's equation at X = 3x is kappa = -2, the cubic at X = 2x/s is kappa = 2, and
+both moves are X -> YZ - X.  `_flip` stays: `triples._conjugate(2, 3a, 3b, 3c) // 3` is slower.
 """
 
 from __future__ import annotations

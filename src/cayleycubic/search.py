@@ -347,25 +347,20 @@ def _row_text(records, csv: bool, classified: bool) -> str:
 
 
 def _chunks(s: int, bound: int, budget: int | None, csv: bool, classified: bool):
-    """`search` or `classify` output in chunks of `_CHUNK_LINES` lines, in sorted order: the
-    records of the rows below s, the base run from `_base_text`, the records of the rows
-    above s.  Every check and the whole classify pass run in this call, before the first
-    chunk: a later box row (a < s) can still join two earlier components."""
+    """`search` or `classify` output, sorted: the CSV header, then in chunks of `_CHUNK_LINES` lines the records
+    below s (`_chunked`), the base run (`_base_text` over ranges of p) and the records above s.  All checks and the
+    classify pass run in this call, before the first chunk: a later box row (a < s) can join two earlier components."""
     rows = _solution_rows(s, bound, budget)
-    nlow, nbase, fmt = bisect_left(rows, (s,)), max(bound - s + 1, 0), _ROW_FORMATS[csv, classified]
+    nlow, fmt, size = bisect_left(rows, (s,)), _ROW_FORMATS[csv, classified], triples._CHUNK_LINES
     # each conjugate n/s as str(Fraction(n, s)), reduced by one gcd
     records = [
         (s, *r, *rec, [str(n // s) if (g := gcd(n, s)) == s else f"{n // g}/{s // g}" for n in _conjugate_numerators(s, *r)])
         for r, rec in zip(rows, _classify_rows(s, bound, rows))
     ] if classified else [(s, *r) for r in rows]
-    top, size = nlow + nbase, triples._CHUNK_LINES  # top: the row index past the base run
     tmpl = None if classified else fmt([(s, s, f"@{j:02d}", f"@{j:02d}") for j in range(100)])
-    return chain([_HEADERS[csv, classified]] if csv else [], (
-        fmt(records[lo : min(lo + size, nlow)])
-        + _base_text(s, bound, range(max(lo, nlow) - nlow + s, min(lo + size, top) - nlow + s), nlow - s, csv, classified, tmpl)
-        + fmt(records[max(lo, top) - nbase : max(lo + size - nbase, 0)])
-        for lo in range(0, len(rows) + nbase, size)
-    ))
+    base = (_base_text(s, bound, range(p, min(p + size, bound + 1)), nlow - s, csv, classified, tmpl)
+            for p in range(s, bound + 1, size))
+    return chain([_HEADERS[csv, classified]] if csv else [], _chunked(records[:nlow], fmt), base, _chunked(records[nlow:], fmt))
 
 
 def triples_to_csv(sols: list[Triple]) -> str:

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycubic import (
     MAX_TREE_DEPTH,
@@ -16,6 +18,7 @@ from cayleycubic import (
     continuant_drop_last,
     continuant_interior,
     continuant_power_sequence,
+    enumerate_solutions,
     markov_neighbor,
     markov_tree,
     markov_tree_dot,
@@ -27,6 +30,7 @@ from cayleycubic import (
 from cayleycubic import markov as mk
 from cayleycubic import triples
 from cayleycubic.cli import run
+from cayleycubic.triples import _conjugate, conjugate_component
 from conftest import chunk_lines, chunk_pieces, chunk_sizes, run_lengths
 
 
@@ -678,3 +682,45 @@ def test_overlap_search_budget_refuses_before_any_continuant(monkeypatch, max_en
 def test_markov_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def kappa(x, y, z):
+    """The trace surface x^2 + y^2 + z^2 - xyz - 2 (tr[A, B] at x = tr A, y = tr B, z = tr AB)."""
+    return x * x + y * y + z * z - x * y * z - 2
+
+
+def test_markov_moves_are_cayley_moves_in_trace_coordinates():
+    # at X = 3a Markov's equation is kappa = -2, and its move 3bc - a is YZ - X: the Cayley
+    # move 2YZ/s - X at s = 2; 8193 triples, 24 579 (triple, component) pairs
+    tree = markov_tree(14)
+    assert len(tree) == 2**13 + 1
+    for t in tree:
+        xs = [3 * v for v in t]
+        assert kappa(*xs) == -2
+        for i in range(3):
+            assert _conjugate(2, xs[i], xs[i - 1], xs[i - 2]) == 3 * mk._flip(t, i)
+
+
+def _assert_cayley_rows_on_kappa_two(s, bound):
+    # at X = 2x/s the cubic is kappa = 2, s^3 times: 4s(a^2 + b^2 + c^2) - 8abc - 2s^3 = 2s^3,
+    # and the conjugate 2yz/s - x of a component is YZ - X
+    rows = enumerate_solutions(s, bound)
+    for t in rows:
+        a, b, c = comps = t.components
+        assert 4 * s * (a * a + b * b + c * c) - 8 * a * b * c - 2 * s**3 == 2 * s**3
+        xs = [Fraction(2 * v, s) for v in comps]
+        for i in range(3):
+            v = conjugate_component(t, i)
+            assert Fraction(2, s) * v == xs[i - 1] * xs[i - 2] - xs[i]
+            assert _conjugate(s, comps[i], comps[i - 1], comps[i - 2]) == (v if v.denominator == 1 else None)
+    return len(rows)
+
+
+def test_cayley_rows_lie_on_kappa_two():
+    assert sum(_assert_cayley_rows_on_kappa_two(s, 400) for s in (1, 2, 3, 7, 12, 30)) == 2536
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(1, 40), bound=st.integers(1, 400))
+def test_cayley_rows_lie_on_kappa_two_on_a_range(s, bound):
+    _assert_cayley_rows_on_kappa_two(s, bound)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import tracemalloc
@@ -255,10 +256,16 @@ def test_chain_rows_build_no_class_table(monkeypatch, capsys, s):
 
 
 def _held_after(call):
-    """(the result of call(), the bytes it allocated that are still held when it returns)."""
+    """(the result of call(), the bytes it allocated that are still held when it returns).
+
+    A full collection empties CPython's free lists, before the call and before the reading:
+    a tuple the call takes from a free list filled earlier is not traced, and one it frees
+    stays there and stays counted, so without them the reading depends on what ran before."""
+    gc.collect()
     tracemalloc.start()
     try:
         result = call()
+        gc.collect()
         return result, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1000,8 +1007,9 @@ def test_search_input_checks(call, error, message):
 @pytest.mark.parametrize("s, bound", [(1, 120), (12, 150), (24, 200)])
 def test_cli_chunks_at_their_boundaries(monkeypatch, capsys, s, bound):
     sols, ref = enumerate_solutions(s, bound), _reference_classify(s, bound)
-    n = len(sols)
-    for k in chunk_sizes(n):
+    nlow, nbase = sum(t.a < s for t in sols), bound - s + 1  # the rows below s, the base run
+    runs = (nlow, nbase, len(sols) - nlow - nbase)
+    for k in chunk_sizes(*runs):
         monkeypatch.setattr(triples, "_CHUNK_LINES", k)
         for cmd, fmt, want in (
             ("search", "csv", _triples_csv_oracle(sols)),
@@ -1010,7 +1018,9 @@ def test_cli_chunks_at_their_boundaries(monkeypatch, capsys, s, bound):
             ("classify", "jsonl", _classifications_jsonl_oracle(ref)),
         ):
             chunks = list(sr._chunks(s, bound, None, fmt == "csv", cmd == "classify"))
-            assert len(chunks) == -(-n // k) + (fmt == "csv")  # the rows in ceil(n / k) chunks, after a CSV header
+            # each run of rows in ceil(run / k) chunks, after a CSV header; no chunk holds more than k lines
+            assert len(chunks) == sum(-(-n // k) for n in runs) + (fmt == "csv")
+            assert all(chunk.count("\n") <= k for chunk in chunks)
             _assert_same_text("".join(chunks), want)
             assert run([cmd, "--s", str(s), "--bound", str(bound), "--format", fmt]) == 0
             _assert_same_text(capsys.readouterr().out, want)
